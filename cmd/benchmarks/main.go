@@ -63,13 +63,8 @@ func main() {
 		jsonMode = flag.Bool("json", false, "emit micro-benchmark results as JSON and exit")
 		benchSet = flag.String("set", "executor", "with -json: benchmark set to run (executor|catalog|router|trace)")
 		short    = flag.Bool("short", false, "with -json: skip the corpus-building benchmarks (exec_ts_metric, engine_batch_translate); workload sizes are unchanged so numbers stay comparable")
-		rowEng   = flag.Bool("row-engine", false, "execute queries row-at-a-time instead of through the vectorized columnar engine (escape hatch / A-B baseline)")
 	)
 	flag.Parse()
-
-	if *rowEng {
-		sqlexec.SetDefaultRowEngine(true)
-	}
 
 	if *jsonMode {
 		var err error

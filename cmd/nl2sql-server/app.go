@@ -21,7 +21,6 @@ import (
 	"repro/internal/router"
 	"repro/internal/service"
 	"repro/internal/spider"
-	"repro/internal/sqlexec"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -56,7 +55,6 @@ type appConfig struct {
 	// TenantMemBudget bounds resident store-backed tenant bytes (0 = off).
 	TenantMemBudget int64
 	Pprof           bool
-	RowEngine       bool
 	// ShardID stamps responses with X-NL2SQL-Shard and names this instance's
 	// WAL inside a shared -data-dir. Use the shard's advertised host:port so
 	// clients can echo the header for sticky routing through the router.
@@ -143,10 +141,6 @@ func newApp(cfg appConfig) (*app, error) {
 		return newRouterApp(cfg)
 	}
 	start := time.Now()
-	if cfg.RowEngine {
-		sqlexec.SetDefaultRowEngine(true)
-		slog.Info("row-at-a-time execution engine selected (-row-engine)")
-	}
 	slog.Info("generating corpus and training pipeline", "scale", cfg.Scale, "seed", cfg.Seed)
 	corpus := spider.GenerateSmall(cfg.Seed, cfg.Scale)
 	sim := llm.Client(llm.NewSim(llm.ChatGPT))

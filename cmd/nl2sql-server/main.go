@@ -75,7 +75,6 @@ func main() {
 	flag.StringVar(&cfg.WALSync, "wal-sync", "always", "WAL durability: always (fsync per append), interval (batched), never (OS-buffered)")
 	flag.Int64Var(&cfg.TenantMemBudget, "tenant-mem-budget", 0, "resident-bytes budget for store-backed tenants (snapshot-size proxy); past it idle ready tenants unload to stubs (0 = unlimited)")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "mount net/http/pprof debug endpoints under /debug/pprof/")
-	flag.BoolVar(&cfg.RowEngine, "row-engine", false, "execute SQL row-at-a-time instead of through the vectorized columnar engine (escape hatch / A-B baseline)")
 	flag.StringVar(&cfg.ShardID, "shard-id", "", "shard identity stamped on responses (X-NL2SQL-Shard) and naming this instance's WAL in a shared -data-dir; use the advertised host:port for sticky routing")
 	flag.BoolVar(&cfg.Router, "router", false, "serve the consistent-hash routing tier instead of a shard (requires -shards)")
 	flag.StringVar(&cfg.Shards, "shards", "", "comma-separated shard addresses (host:port) the router proxies to")

@@ -334,7 +334,29 @@ func TestLifecycleWarmingReadyEvictReregister(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	defer st.Close()
-	c := newDurableCatalog(t, st, func(cfg *Config) { cfg.MaxTenants = 1 })
+	// Builds run on a one-runner jobs manager that a blocker job holds until
+	// step 1 has been checked; a free runner can finish this tiny tenant's
+	// build, and persist its models, before Register's caller looks.
+	gate := make(chan struct{})
+	jm := jobs.NewManager(nil, jobs.Config{Runners: 1, Queue: 8, TTL: time.Minute})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := jm.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	blocker := func(ctx context.Context) error {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+		return nil
+	}
+	if _, err := jm.Submit(jobs.Request{Label: "blocker", Run: blocker}); err != nil {
+		t.Fatal(err)
+	}
+	c := newDurableCatalog(t, st, func(cfg *Config) { cfg.MaxTenants = 1; cfg.Jobs = jm })
 	defer closeCatalog(t, c)
 
 	// Step 1: register -> warming, registration snapshot + WAL record.
@@ -349,6 +371,7 @@ func TestLifecycleWarmingReadyEvictReregister(t *testing.T) {
 	if ss := st.Stats(); ss.Saves != 1 || ss.WALAppends != 1 || ss.Snapshots != 1 {
 		t.Fatalf("after register: %+v", ss)
 	}
+	close(gate)
 	const q = "SELECT label FROM item WHERE price < 100"
 	if _, err := sqlexec.Shared.Exec(db, q); err != nil {
 		t.Fatal(err)

@@ -100,8 +100,21 @@ func TestClosedLoopRun(t *testing.T) {
 	if all.Requests == 0 {
 		t.Fatal("closed loop produced no requests")
 	}
-	if all.Errors != 0 || all.Non2xx != 0 {
-		t.Fatalf("unexpected failures against a healthy server: %+v", all)
+	// A healthy server answers every request. The jobs op is fire-and-forget
+	// into a 1-runner, 8-slot queue, which sheds with 429 by contract when
+	// the machine is busy, so jobs (and the aggregate) may carry 429s and no
+	// other non-2xx; every other op must be all 2xx.
+	for _, row := range rep.Results {
+		switch {
+		case row.Errors != 0:
+			t.Fatalf("%s: transport errors against a healthy server: %+v", row.Name, row)
+		case row.Name == "jobs" || row.Name == "all":
+			if row.Non2xx != row.Status429 {
+				t.Fatalf("%s: non-2xx beyond admission-control 429s: %+v", row.Name, row)
+			}
+		case row.Non2xx != 0:
+			t.Fatalf("%s: non-2xx against a healthy server: %+v", row.Name, row)
+		}
 	}
 	if rep.Mode != "closed" {
 		t.Errorf("mode = %q, want closed", rep.Mode)

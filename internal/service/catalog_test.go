@@ -367,44 +367,28 @@ func TestTenantJobs(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases pins the deprecation contract: the unversioned paths
-// answer exactly like their /v1 successors and advertise the successor.
+// TestLegacyAliases pins the retirement of the unversioned aliases: the old
+// paths answer 404, and the /v1 routes keep their method guards.
 func TestLegacyAliases(t *testing.T) {
 	srv, _ := catalogTestServer(t)
-	aliases := []struct {
-		method, old, successor string
-		body                   any
-	}{
-		{http.MethodGet, "/databases", "/v1/databases", nil},
-		{http.MethodPost, "/translate", "/v1/translate", TranslateRequest{Database: "ghost", Question: "x"}},
-		{http.MethodPost, "/execute", "/v1/execute", ExecuteRequest{Database: "ghost", SQL: "SELECT 1 FROM x"}},
-	}
-	for _, a := range aliases {
-		oldResp := doJSON(t, a.method, srv.URL+a.old, a.body, nil)
-		newResp := doJSON(t, a.method, srv.URL+a.successor, a.body, nil)
-		if oldResp.StatusCode != newResp.StatusCode {
-			t.Errorf("%s %s: status %d != successor %d", a.method, a.old, oldResp.StatusCode, newResp.StatusCode)
-		}
-		if oldResp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s: missing Deprecation header", a.method, a.old)
-		}
-		if got := oldResp.Header.Get("Link"); got != "<"+a.successor+`>; rel="successor-version"` {
-			t.Errorf("%s %s: Link = %q", a.method, a.old, got)
-		}
-		if newResp.Header.Get("Deprecation") != "" {
-			t.Errorf("%s: successor wrongly marked deprecated", a.successor)
+	// The POST bodies are not JSON objects, so a handler would answer 400:
+	// a 404 can only come from the mux.
+	for _, a := range []struct{ method, path string }{
+		{http.MethodGet, "/databases"},
+		{http.MethodPost, "/translate"},
+		{http.MethodPost, "/execute"},
+	} {
+		if resp := doJSON(t, a.method, srv.URL+a.path, "not an object", nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", a.method, a.path, resp.StatusCode)
 		}
 	}
-	// Method guards hold on the aliases and the /v1 routes alike.
-	for _, path := range []string{"/translate", "/v1/translate", "/execute", "/v1/execute"} {
+	for _, path := range []string{"/v1/translate", "/v1/execute"} {
 		if resp := doJSON(t, http.MethodGet, srv.URL+path, nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Errorf("GET %s: status %d, want 405", path, resp.StatusCode)
 		}
 	}
-	for _, path := range []string{"/databases", "/v1/databases"} {
-		if resp := doJSON(t, http.MethodDelete, srv.URL+path, nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("DELETE %s: status %d, want 405", path, resp.StatusCode)
-		}
+	if resp := doJSON(t, http.MethodDelete, srv.URL+"/v1/databases", nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("DELETE /v1/databases: status %d, want 405", resp.StatusCode)
 	}
 }
 

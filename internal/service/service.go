@@ -196,10 +196,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Handler returns the route table. Every endpoint lives under /v1 with
-// method guards enforced by the mux; the original unversioned paths
-// (/databases, /translate, /execute) remain as deprecated aliases that
-// answer identically while advertising their successor via Deprecation and
-// Link headers.
+// method guards enforced by the mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// handle wraps every route in the metrics middleware (a no-op when
@@ -237,9 +234,6 @@ func (s *Server) Handler() http.Handler {
 		handle("GET /v1/jobs/{id}", s.handleJobGet)
 		handle("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	}
-	handle("GET /databases", deprecated("/v1/databases", s.handleDatabases))
-	handle("POST /translate", deprecated("/v1/translate", s.handleTranslate))
-	handle("POST /execute", deprecated("/v1/execute", s.handleExecute))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		w.Write([]byte("ok"))
@@ -251,16 +245,6 @@ func (s *Server) Handler() http.Handler {
 		})
 	}
 	return mux
-}
-
-// deprecated wraps a legacy alias: same behavior as the /v1 handler, plus
-// RFC 8594-style headers pointing clients at the successor path.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // lookupTasks resolves task IDs to dev examples, writing a 404 and

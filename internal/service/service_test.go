@@ -52,7 +52,7 @@ func TestHealthz(t *testing.T) {
 
 func TestDatabasesEndpoint(t *testing.T) {
 	srv, c := testServer(t)
-	resp, err := http.Get(srv.URL + "/databases")
+	resp, err := http.Get(srv.URL + "/v1/databases")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTranslateTask(t *testing.T) {
 	srv, c := testServer(t)
 	id := 0
 	var out TranslateResponse
-	postJSON(t, srv.URL+"/translate", TranslateRequest{TaskID: &id}, &out)
+	postJSON(t, srv.URL+"/v1/translate", TranslateRequest{TaskID: &id}, &out)
 	if out.SQL == "" || out.Gold != c.Dev.Examples[0].GoldSQL {
 		t.Errorf("bad translation response: %+v", out)
 	}
@@ -85,7 +85,7 @@ func TestTranslateTask(t *testing.T) {
 func TestTranslateFreeForm(t *testing.T) {
 	srv, c := testServer(t)
 	var out TranslateResponse
-	postJSON(t, srv.URL+"/translate", TranslateRequest{
+	postJSON(t, srv.URL+"/v1/translate", TranslateRequest{
 		Database: c.Dev.Databases[0].Name,
 		Question: "How many rows are there?",
 	}, &out)
@@ -96,12 +96,12 @@ func TestTranslateFreeForm(t *testing.T) {
 
 func TestTranslateErrors(t *testing.T) {
 	srv, _ := testServer(t)
-	bad := postJSON(t, srv.URL+"/translate", TranslateRequest{}, nil)
+	bad := postJSON(t, srv.URL+"/v1/translate", TranslateRequest{}, nil)
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty request: status %d", bad.StatusCode)
 	}
 	id := 999999
-	missing := postJSON(t, srv.URL+"/translate", TranslateRequest{TaskID: &id}, nil)
+	missing := postJSON(t, srv.URL+"/v1/translate", TranslateRequest{TaskID: &id}, nil)
 	if missing.StatusCode != http.StatusNotFound {
 		t.Errorf("out-of-range task: status %d", missing.StatusCode)
 	}
@@ -111,7 +111,7 @@ func TestExecuteEndpoint(t *testing.T) {
 	srv, c := testServer(t)
 	db := c.Dev.Databases[0]
 	var out ExecuteResponse
-	postJSON(t, srv.URL+"/execute", ExecuteRequest{
+	postJSON(t, srv.URL+"/v1/execute", ExecuteRequest{
 		Database: db.Name,
 		SQL:      "SELECT COUNT(*) FROM " + db.Tables[0].Name,
 	}, &out)
@@ -119,7 +119,7 @@ func TestExecuteEndpoint(t *testing.T) {
 		t.Errorf("execute failed: %+v", out)
 	}
 	// SQL errors are reported in-band.
-	postJSON(t, srv.URL+"/execute", ExecuteRequest{Database: db.Name, SQL: "SELECT x FROM nope"}, &out)
+	postJSON(t, srv.URL+"/v1/execute", ExecuteRequest{Database: db.Name, SQL: "SELECT x FROM nope"}, &out)
 	if out.Error == "" {
 		t.Error("expected in-band SQL error")
 	}
@@ -127,13 +127,13 @@ func TestExecuteEndpoint(t *testing.T) {
 
 func TestMethodGuards(t *testing.T) {
 	srv, _ := testServer(t)
-	resp, err := http.Get(srv.URL + "/translate")
+	resp, err := http.Get(srv.URL + "/v1/translate")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /translate: %d", resp.StatusCode)
+		t.Errorf("GET /v1/translate: %d", resp.StatusCode)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestBatchEndpoint(t *testing.T) {
 	// A batch must agree with the single-task endpoint, task by task.
 	id := ids[2]
 	var single TranslateResponse
-	postJSON(t, srv.URL+"/translate", TranslateRequest{TaskID: &id}, &single)
+	postJSON(t, srv.URL+"/v1/translate", TranslateRequest{TaskID: &id}, &single)
 	if single.SQL != out.Results[2].SQL {
 		t.Errorf("batch SQL %q != single SQL %q", out.Results[2].SQL, single.SQL)
 	}
@@ -237,8 +237,8 @@ func TestStatsPlanCacheCounters(t *testing.T) {
 	table := c.Dev.Databases[0].Tables[0].Name
 	req := ExecuteRequest{Database: dbName, SQL: "SELECT COUNT(*) FROM " + table}
 	var out ExecuteResponse
-	postJSON(t, srv.URL+"/execute", req, &out)
-	postJSON(t, srv.URL+"/execute", req, &out)
+	postJSON(t, srv.URL+"/v1/execute", req, &out)
+	postJSON(t, srv.URL+"/v1/execute", req, &out)
 	if out.Error != "" {
 		t.Fatalf("execute error: %s", out.Error)
 	}
@@ -284,7 +284,7 @@ func TestStatsEndpointWithoutCache(t *testing.T) {
 // invalid JSON with 400, not hang or 500.
 func TestMalformedJSONBodies(t *testing.T) {
 	srv, _ := testServer(t)
-	for _, path := range []string{"/translate", "/execute", "/v1/batch"} {
+	for _, path := range []string{"/v1/translate", "/v1/execute", "/v1/batch"} {
 		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader("{not json"))
 		if err != nil {
 			t.Fatal(err)
@@ -300,11 +300,11 @@ func TestMalformedJSONBodies(t *testing.T) {
 // outside the corpus.
 func TestUnknownDatabaseNames(t *testing.T) {
 	srv, _ := testServer(t)
-	resp := postJSON(t, srv.URL+"/translate", TranslateRequest{Database: "no_such_db", Question: "how many?"}, nil)
+	resp := postJSON(t, srv.URL+"/v1/translate", TranslateRequest{Database: "no_such_db", Question: "how many?"}, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("translate unknown db: %d", resp.StatusCode)
 	}
-	resp = postJSON(t, srv.URL+"/execute", ExecuteRequest{Database: "no_such_db", SQL: "SELECT 1 FROM t"}, nil)
+	resp = postJSON(t, srv.URL+"/v1/execute", ExecuteRequest{Database: "no_such_db", SQL: "SELECT 1 FROM t"}, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("execute unknown db: %d", resp.StatusCode)
 	}
@@ -315,9 +315,9 @@ func TestUnknownDatabaseNames(t *testing.T) {
 func TestMethodNotAllowedEverywhere(t *testing.T) {
 	srv, _ := testServer(t)
 	cases := []struct{ method, path string }{
-		{http.MethodPost, "/databases"},
-		{http.MethodGet, "/translate"},
-		{http.MethodGet, "/execute"},
+		{http.MethodPost, "/v1/databases"},
+		{http.MethodGet, "/v1/translate"},
+		{http.MethodGet, "/v1/execute"},
 		{http.MethodGet, "/v1/batch"},
 		{http.MethodPost, "/v1/stats"},
 	}

@@ -10,24 +10,22 @@ import (
 	"repro/internal/sqlir"
 )
 
-// This file is the columnar batch-at-a-time execution pipeline: scan, join
+// This file is the physical execution pipeline, batch at a time: scan, join
 // and filter operators over colBatch (vector.go) driving the compiled
-// kernels (kernels.go), plus vectorized projection and grouping. Every plan
-// compiles a columnar pipeline unless PlanOptions.RowEngine asks for the
-// row-at-a-time operators; both engines share the planner, the optimizer
-// decisions and the compiled row closures, which the columnar pipeline falls
-// back to wherever an expression is not provably error-free.
+// kernels (kernels.go), plus vectorized projection and grouping. It falls
+// back to the compiled row closures (eval.go) wherever an expression is not
+// provably error-free.
 //
-// Error-ordering contract: the row engine evaluates a row's conjuncts (and
-// projection items) left to right, row by row. Column-at-a-time evaluation
-// of two error-capable expressions could surface a different first error, so
-// the pipeline only vectorizes the prefix of conjuncts before the first
+// Error-ordering contract: rows are visited in row order, and each row's
+// conjuncts (and projection items) are evaluated left to right, so the first
+// error a row raises surfaces first. Column-at-a-time evaluation of two
+// error-capable expressions could surface a different first error, so the
+// pipeline only vectorizes the prefix of conjuncts before the first
 // error-capable one (mirroring the pushdown rule in optimize.go) and runs
 // everything from that point on as one fused lane-at-a-time loop over the
-// original row closures — same evaluation order, same first error.
-// Projections are all-or-nothing for the same reason: if any item or ORDER
-// BY key can error, the whole projection falls back to row-major closure
-// evaluation.
+// original row closures. Projections are all-or-nothing for the same reason:
+// if any item or ORDER BY key can error, the whole projection falls back to
+// row-major closure evaluation.
 
 // ---- kernel expression compiler ----
 
@@ -344,11 +342,22 @@ func (b *colBatch) refineErr(f func(int32) (bool, error)) error {
 	return nil
 }
 
-// colJoinNode mirrors joinNode: hash build over the right side with chained
-// ordinals (emission order identical to the row engine: left rows in order,
-// matches in right-relation order), NaN degradation to the nested loop, and
-// the degenerate filtered nested loop. Output columns are gathered once per
-// column instead of once per row.
+// cellRef addresses one degenerate-join key cell: a column of the left batch
+// or of the right batch.
+type cellRef struct {
+	right bool
+	idx   int
+}
+
+// colJoinNode joins the left input with a base-table scan. Normalized
+// equi-joins (keys on opposite sides) hash-build over the right side with
+// chained ordinals unless the plan forces a nested loop; degenerate ON
+// clauses (both key columns on one side) run the filtered nested loop. Every
+// strategy emits in the same order — left rows in order, matches in
+// right-relation order — so results are byte-identical across join paths.
+// A NaN build key degrades the hash join to the nested loop. Output columns
+// (the kept ones only: projection pruning) are gathered once per column
+// instead of once per row.
 type colJoinNode struct {
 	left         colNode
 	right        *colScanNode
@@ -416,7 +425,7 @@ func (j *colJoinNode) execDegenerate(lb, rb *colBatch, emit func(l, r int32)) {
 
 // buildHasNaN reports a non-null NaN among the build keys — the one value
 // hash lookup cannot express (Equal treats NaN as equal to every number), so
-// the whole join degrades to the nested loop, exactly like the row engine.
+// the whole join degrades to the nested loop.
 func buildHasNaN(rb *colBatch, key int) bool {
 	v := rb.cols[key]
 	for i, n := 0, rb.len(); i < n; i++ {
@@ -616,8 +625,8 @@ func (j *colJoinNode) execNested(lb, rb *colBatch, emit func(l, r int32)) {
 
 // colFilterNode applies the residual conjuncts: the error-free prefix as
 // kernels (or lane-at-a-time row closures), then everything from the first
-// error-capable conjunct on as one fused row-major loop — preserving the
-// row engine's first-error exactly.
+// error-capable conjunct on as one fused row-major loop, so the first error
+// a row raises surfaces first.
 type colFilterNode struct {
 	child colNode
 	vecs  []colPredPlan
@@ -771,8 +780,9 @@ func (g gvFromBool) eval(gc *groupCtx) []schema.Value {
 
 // gvAgg is a vectorized aggregate over an error-free argument, accumulated
 // in one pass over the live lanes (lane order = group row order, so
-// DISTINCT first-seen dedup and MIN/MAX first-value seeding match the row
-// engine exactly, NaN never replacing an established best included).
+// DISTINCT first-seen dedup and MIN/MAX first-value seeding match the
+// aggregate closures in eval.go exactly, NaN never replacing an established
+// best included).
 type gvAgg struct {
 	fn       string
 	distinct bool
@@ -991,7 +1001,8 @@ func evalGroupCols(items []gval, gc *groupCtx, surv []int32) [][]schema.Value {
 // buildGroups assigns a group id to every live lane. Explicit grouping keys
 // use the exact rowKey encoding (lower-cased String() joined with \x1f) so
 // that key collisions — NULL vs the string "null", distinct floats that
-// render identically at 12 digits — group exactly as the row engine does.
+// render identically at 12 digits — group exactly as rowsSelect's rowKey
+// grouping does.
 func (cg *colGroup) buildGroups(b *colBatch) *groupCtx {
 	live := b.len()
 	gc := &groupCtx{b: b}
@@ -1150,29 +1161,4 @@ func buildColGroup(sel *sqlir.Select, p *selectPlan, cc *colComp) *colGroup {
 		g.keys = append(g.keys, gv)
 	}
 	return g
-}
-
-// colPlan is the columnar execution form of one SELECT block, compiled
-// alongside the row operators from the same logical plan.
-type colPlan struct {
-	input colNode
-	proj  *colProj  // non-nil: vectorized ungrouped projection
-	grp   *colGroup // non-nil: vectorized grouped projection
-}
-
-func (cp *colPlan) selectOne(ctx *execCtx, p *selectPlan) (*Result, error) {
-	b, err := cp.input.exec(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if p.explicitGroup || p.implicitAgg {
-		if cp.grp != nil {
-			return cp.grp.run(p, b)
-		}
-		return p.rowsSelect(ctx, b.rows())
-	}
-	if cp.proj != nil {
-		return cp.proj.run(p, b)
-	}
-	return p.rowsSelect(ctx, b.rows())
 }

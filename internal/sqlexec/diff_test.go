@@ -18,11 +18,10 @@ import (
 // scans, sort-based dedup — no hash joins, no memoization, no working-set
 // reuse) plus tests asserting the engine and the reference produce
 // identical results on every corpus gold query and on hundreds of
-// randomized queries. Every query runs through FOUR physical paths — the
-// columnar engine and the row engine, each under the fully optimized plan
-// (hash joins, pushdown, hash IN sets, folding) and the Unoptimized() plan
-// (forced nested loops, no rewrites) — and each must agree with the
-// reference; between the engines, error strings must match exactly. Future
+// randomized queries. Every query runs through both plan shapes — the fully
+// optimized plan (hash joins, pushdown, hash IN sets, folding) and the
+// Unoptimized() plan (forced nested loops, no rewrites) — and each must
+// agree with the reference on results and on exact error text. Future
 // executor optimizations must keep beating this oracle.
 
 // ---- reference evaluator ----
@@ -211,11 +210,6 @@ func (r *refEvaluator) selectOne(sel *sqlir.Select) (*Result, error) {
 
 	out := &Result{}
 	starOnly := len(sel.Items) == 1 && refIsStar(sel.Items[0].Expr)
-	for _, it := range sel.Items {
-		if refIsStar(it.Expr) && (!starOnly || grouped) {
-			return nil, errors.New("ref: SELECT * mixed with other items or grouping is unsupported")
-		}
-	}
 
 	type row struct {
 		cells []schema.Value
@@ -244,6 +238,12 @@ func (r *refEvaluator) selectOne(sel *sqlir.Select) (*Result, error) {
 		eval := func(evalOne func(sqlir.Expr) (schema.Value, error)) error {
 			var cells []schema.Value
 			for _, it := range sel.Items {
+				if refIsStar(it.Expr) {
+					// Like any item that cannot evaluate, a * beside other
+					// items or under grouping errors only once a row or
+					// group is projected, and only if no earlier item erred.
+					return errors.New("ref: SELECT * mixed with other items is unsupported")
+				}
 				v, err := evalOne(it.Expr)
 				if err != nil {
 					return err
@@ -425,7 +425,11 @@ func refResolve(c *sqlir.ColumnRef, cols []refCol) (int, error) {
 		found = i
 	}
 	if found < 0 {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownColumn, c.Column)
+		name := c.Column
+		if c.Table != "" {
+			name = c.Table + "." + c.Column
+		}
+		return 0, fmt.Errorf("%w: %s", ErrUnknownColumn, name)
 	}
 	return found, nil
 }
@@ -806,7 +810,7 @@ func (r *refEvaluator) agg(a *sqlir.Agg, cols []refCol, group [][]schema.Value) 
 		return schema.Null(), fmt.Errorf("%w: %s", ErrUnknownFunction, a.Fn)
 	}
 	if len(a.Args) != 1 {
-		return schema.Null(), fmt.Errorf("%w: %s", ErrAggArity, a.Fn)
+		return schema.Null(), fmt.Errorf("%w: %s takes 1 argument, got %d", ErrAggArity, a.Fn, len(a.Args))
 	}
 	if _, isStar := a.Args[0].(*sqlir.Star); isStar {
 		if a.Fn != "COUNT" {
@@ -931,33 +935,32 @@ func sameResult(got, want *Result) string {
 	return ""
 }
 
-// rowEngine flips one option set onto the row-at-a-time execution path,
-// keeping every optimizer setting intact.
-func rowEngine(o PlanOptions) PlanOptions {
-	o.RowEngine = true
-	return o
-}
-
-// diffPaths is every physical path a query can take: the columnar engine and
-// the row engine, each under the fully optimized plan and the forced
-// nested-loop/unoptimized plan.
+// diffPaths is both plan shapes a query can take: the fully optimized plan
+// and the forced nested-loop/unoptimized plan.
 var diffPaths = []struct {
 	name string
 	opts PlanOptions
 }{
-	{"columnar", PlanOptions{}},
-	{"columnar-nested-loop", Unoptimized()},
-	{"row", rowEngine(PlanOptions{})},
-	{"row-nested-loop", rowEngine(Unoptimized())},
+	{"optimized", PlanOptions{}},
+	{"unoptimized", Unoptimized()},
 }
 
-// diffOne runs one query through all four physical paths (columnar and row
-// engine, optimized and nested-loop) plus the reference evaluator, and
-// demands agreement on both errors and results. Between the two engines the
-// bar is higher than against the reference: error strings must match
-// EXACTLY, pinning the lazy-error ordering the columnar kernels must
-// preserve (which error fires first is observable whenever a row carries
-// more than one fault).
+// errText is an error's message without the engine's "sqlexec: " or the
+// reference's "ref: " prefix.
+func errText(err error) string {
+	s := err.Error()
+	for _, prefix := range []string{"sqlexec: ", "ref: "} {
+		if rest, ok := strings.CutPrefix(s, prefix); ok {
+			return rest
+		}
+	}
+	return s
+}
+
+// diffOne runs one query through both plan shapes and the reference
+// evaluator, and demands agreement on results and on exact error text. The
+// text pins lazy-error ordering: which error fires first is observable
+// whenever a row carries more than one fault.
 func diffOne(t *testing.T, db *schema.Database, sel *sqlir.Select) (ok, executed bool) {
 	t.Helper()
 	want, wantErr := refExec(db, sel)
@@ -969,12 +972,10 @@ func diffOne(t *testing.T, db *schema.Database, sel *sqlir.Select) (ok, executed
 		return sql
 	}
 	ok = true
-	errs := make([]error, len(diffPaths))
-	for pi, path := range diffPaths {
+	for _, path := range diffPaths {
 		got, gotErr := ExecOptions(db, sel, path.opts)
-		errs[pi] = gotErr
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("[%s] error disagreement on %q\n  engine: %v\n  ref:    %v", path.name, lazySQL(), gotErr, wantErr)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && errText(gotErr) != errText(wantErr)) {
+			t.Errorf("[%s] error disagreement on %q (db %s)\n  engine: %v\n  ref:    %v", path.name, lazySQL(), db.Name, gotErr, wantErr)
 			ok = false
 			continue
 		}
@@ -983,16 +984,6 @@ func diffOne(t *testing.T, db *schema.Database, sel *sqlir.Select) (ok, executed
 		}
 		if msg := sameResult(got, want); msg != "" {
 			t.Errorf("[%s] result divergence on %q (db %s): %s", path.name, lazySQL(), db.Name, msg)
-			ok = false
-		}
-	}
-	// Cross-engine error identity: columnar vs row under the same plan
-	// shape must produce the very same error text.
-	for pi := 0; pi < 2; pi++ {
-		ce, re := errs[pi], errs[pi+2]
-		if (ce == nil) != (re == nil) || (ce != nil && ce.Error() != re.Error()) {
-			t.Errorf("engine error mismatch on %q\n  %s: %v\n  %s: %v",
-				lazySQL(), diffPaths[pi].name, ce, diffPaths[pi+2].name, re)
 			ok = false
 		}
 	}
@@ -1231,8 +1222,9 @@ func (g *qgen) query() *sqlir.Select {
 
 // TestDifferentialDirectedCases covers corners the random generator does
 // not reach: IN lists with non-literal, error-capable members (evaluation
-// order of the member list is observable through errors) and bare-column
-// predicates (boolean-context errors interacting with pushdown).
+// order of the member list is observable through errors), bare-column
+// predicates (boolean-context errors interacting with pushdown), and three
+// errors whose exact text the engine and the reference must share.
 func TestDifferentialDirectedCases(t *testing.T) {
 	c := spider.GenerateSmall(123, 0.08)
 	for _, db := range c.Dev.Databases {
@@ -1270,6 +1262,23 @@ func TestDifferentialDirectedCases(t *testing.T) {
 		}
 		for _, sel := range cases {
 			diffOne(t, db, sel)
+		}
+
+		// Each of these must raise an error whose exact text the engine
+		// and the reference share: a qualified unknown column names its
+		// qualifier, aggregate arity names the count, and * beside another
+		// item is rejected.
+		sub := sqlir.NewSelect()
+		sub.Items = []sqlir.SelectItem{{Expr: &sqlir.ColumnRef{Table: "m", Column: numCol}}}
+		sub.From = sqlir.From{Base: sqlir.TableRef{Table: tbl.Name}}
+		maxTwo := mk(nil)
+		maxTwo.Items = []sqlir.SelectItem{{Expr: &sqlir.Agg{Fn: "MAX", Args: []sqlir.Expr{num, str}}}}
+		starAnd := mk(nil)
+		starAnd.Items = []sqlir.SelectItem{{Expr: &sqlir.Star{}}, {Expr: num}}
+		for _, sel := range []*sqlir.Select{mk(&sqlir.In{E: num, Sub: sub}), maxTwo, starAnd} {
+			if _, executed := diffOne(t, db, sel); executed {
+				t.Errorf("%q (db %s) executed cleanly; want an error", sqlir.String(sel), db.Name)
+			}
 		}
 	}
 }

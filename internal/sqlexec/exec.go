@@ -12,8 +12,10 @@
 //   - optimize.go applies rule-based rewrites (predicate pushdown into
 //     scans, equi-join strategy selection, projection pruning, constant
 //     folding),
-//   - operators.go executes the physical plan (hash joins for equi-joins,
-//     hash semi-joins for uncorrelated IN subqueries, hash grouping).
+//   - columnar.go executes the physical plan batch at a time (hash joins
+//     for equi-joins, hash grouping, vector kernels), falling back to the
+//     row closures eval.go compiles (hash semi-joins for uncorrelated IN
+//     subqueries among them); operators.go drives execution.
 //
 // prepare.go adds a prepared-statement layer on top: Prepare compiles a
 // query once into a reusable, concurrency-safe *Stmt, and PlanCache keys

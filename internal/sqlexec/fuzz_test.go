@@ -8,13 +8,11 @@ import (
 )
 
 // FuzzExecDifferential feeds arbitrary SQL through the parser and, for
-// whatever parses, executes it on a fixed corpus database under both
-// engines (columnar and row-at-a-time) in both plan shapes (optimized and
-// forced nested-loop). Any divergence — result rows, canonical encoding,
-// ordered flag, or the exact error string — is a crash. The engines share
-// the planner and the semantic contract, so there is no benign reason for
-// them to disagree; this is the moving fence around the vectorized kernels'
-// lazy-error ordering.
+// whatever parses, executes it on a fixed corpus database in both plan
+// shapes (optimized and forced nested-loop) and through the reference
+// evaluator. Any divergence — result rows, canonical encoding, ordered flag,
+// or the exact error text — is a crash; this is the moving fence around the
+// vectorized kernels' lazy-error ordering.
 func FuzzExecDifferential(f *testing.F) {
 	for _, s := range []string{
 		"SELECT * FROM t",
@@ -52,20 +50,6 @@ func FuzzExecDifferential(f *testing.F) {
 		// Spread parsed inputs across the corpus databases so table and
 		// column names resolve under more than one schema.
 		db := dbs[len(input)%len(dbs)]
-		for _, opts := range []PlanOptions{{}, Unoptimized()} {
-			cRes, cErr := ExecOptions(db, sel, opts)
-			rRes, rErr := ExecOptions(db, sel, rowEngine(opts))
-			if (cErr == nil) != (rErr == nil) || (cErr != nil && cErr.Error() != rErr.Error()) {
-				t.Fatalf("engine error divergence on %q (db %s, nested-loop=%v)\n  columnar: %v\n  row:      %v",
-					input, db.Name, opts.ForceNestedLoop, cErr, rErr)
-			}
-			if cErr != nil {
-				continue
-			}
-			if msg := sameResult(cRes, rRes); msg != "" {
-				t.Fatalf("engine result divergence on %q (db %s, nested-loop=%v): %s",
-					input, db.Name, opts.ForceNestedLoop, msg)
-			}
-		}
+		diffOne(t, db, sel)
 	})
 }

@@ -10,11 +10,13 @@ import (
 	"repro/internal/schema"
 )
 
-// This file holds the physical operators and the execution driver. A
-// compiled plan is immutable and holds no per-execution state, so one
-// *selectPlan (and therefore one *Stmt) can execute concurrently and
-// against any database with a matching schema; everything mutable lives in
-// the per-execution execCtx.
+// This file holds the execution driver: subquery memos, the row-at-a-time
+// projection fallback, the ordering/DISTINCT/LIMIT tail and set operations
+// (the physical operators live in columnar.go). A compiled plan is
+// immutable and holds no per-execution state, so one *selectPlan (and
+// therefore one *Stmt) can execute concurrently and against any database
+// with a matching schema; everything mutable lives in the per-execution
+// execCtx.
 
 // execCtx is the per-execution state: the target database, the dynamic
 // nesting depth, and memos for uncorrelated subqueries. The grammar has no
@@ -115,39 +117,6 @@ func rowKey(row []schema.Value) string {
 	return strings.Join(parts, "\x1f")
 }
 
-// physNode produces the working relation's rows.
-type physNode interface {
-	exec(ctx *execCtx) ([][]schema.Value, error)
-}
-
-// scanNode reads one table, applying pushed-down predicates to the raw rows
-// (which stay shared with the table — scans never copy cells).
-type scanNode struct {
-	table string
-	preds []rowBool
-}
-
-func (s *scanNode) exec(ctx *execCtx) ([][]schema.Value, error) {
-	t := ctx.db.Table(s.table)
-	if t == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownTable, s.table)
-	}
-	if len(s.preds) == 0 {
-		return t.Rows, nil
-	}
-	var kept [][]schema.Value
-	for _, row := range t.Rows {
-		ok, err := evalPreds(ctx, s.preds, row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			kept = append(kept, row)
-		}
-	}
-	return kept, nil
-}
-
 func evalPreds(ctx *execCtx, preds []rowBool, row []schema.Value) (bool, error) {
 	for _, p := range preds {
 		ok, err := p(ctx, row)
@@ -156,154 +125,6 @@ func evalPreds(ctx *execCtx, preds []rowBool, row []schema.Value) (bool, error) 
 		}
 	}
 	return true, nil
-}
-
-// cellRef addresses one join-key cell: a position in the materialized left
-// row or in the raw right row.
-type cellRef struct {
-	right bool
-	idx   int
-}
-
-func (c cellRef) pick(lrow, rrow []schema.Value) schema.Value {
-	if c.right {
-		return rrow[c.idx]
-	}
-	return lrow[c.idx]
-}
-
-// joinNode joins the left child with a base-table scan. Normalized
-// equi-joins (keys on opposite sides) hash-build over the right rows unless
-// the plan forces a nested loop; degenerate ON clauses (both key columns on
-// one side) always run the filtered nested loop. Output rows materialize
-// only the kept columns (projection pruning), left cells first — the same
-// cell order either strategy produces, so plans are byte-identical across
-// join paths.
-type joinNode struct {
-	left       physNode
-	right      *scanNode
-	lKey, rKey cellRef
-	hash       bool
-	degenerate bool
-	keepL      []int // positions of the left row to retain
-	keepR      []int // positions of the right row to retain
-}
-
-func (j *joinNode) emit(lrow, rrow []schema.Value) []schema.Value {
-	out := make([]schema.Value, 0, len(j.keepL)+len(j.keepR))
-	for _, i := range j.keepL {
-		out = append(out, lrow[i])
-	}
-	for _, i := range j.keepR {
-		out = append(out, rrow[i])
-	}
-	return out
-}
-
-func (j *joinNode) exec(ctx *execCtx) ([][]schema.Value, error) {
-	lrows, err := j.left.exec(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rrows, err := j.right.exec(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]schema.Value
-	if j.degenerate {
-		// Both ON columns on one side: filtered nested loop with the
-		// written-order null/equality test.
-		for _, lrow := range lrows {
-			for _, rrow := range rrows {
-				lv := j.lKey.pick(lrow, rrow)
-				rv := j.rKey.pick(lrow, rrow)
-				if !lv.IsNull() && lv.Equal(rv) {
-					out = append(out, j.emit(lrow, rrow))
-				}
-			}
-		}
-		return out, nil
-	}
-	if j.hash {
-		build := make(map[string][]int, len(rrows))
-		nanRight := false
-		for i, rrow := range rrows {
-			v := rrow[j.rKey.idx]
-			if v.IsNull() {
-				continue
-			}
-			if isNaNVal(v) {
-				nanRight = true
-				break
-			}
-			k := valueKey(v)
-			build[k] = append(build[k], i)
-		}
-		if !nanRight {
-			for _, lrow := range lrows {
-				lv := lrow[j.lKey.idx]
-				if lv.IsNull() {
-					continue
-				}
-				if isNaNVal(lv) {
-					// NaN matches every number under Equal; only the
-					// nested loop expresses that. Per-row fallback keeps
-					// emission order identical (build preserves rrows
-					// order).
-					for _, rrow := range rrows {
-						rv := rrow[j.rKey.idx]
-						if !rv.IsNull() && lv.Equal(rv) {
-							out = append(out, j.emit(lrow, rrow))
-						}
-					}
-					continue
-				}
-				for _, i := range build[valueKey(lv)] {
-					out = append(out, j.emit(lrow, rrows[i]))
-				}
-			}
-			return out, nil
-		}
-		// NaN on the build side: degrade the whole join to the nested loop.
-	}
-	for _, lrow := range lrows {
-		lv := lrow[j.lKey.idx]
-		if lv.IsNull() {
-			continue
-		}
-		for _, rrow := range rrows {
-			rv := rrow[j.rKey.idx]
-			if rv.IsNull() || !lv.Equal(rv) {
-				continue
-			}
-			out = append(out, j.emit(lrow, rrow))
-		}
-	}
-	return out, nil
-}
-
-// filterNode applies the residual WHERE conjuncts in their original order.
-type filterNode struct {
-	child physNode
-	preds []rowBool
-}
-
-func (f *filterNode) exec(ctx *execCtx) ([][]schema.Value, error) {
-	rows, err := f.child.exec(ctx)
-	if err != nil {
-		return nil, err
-	}
-	kept := rows[:0:0]
-	for _, row := range rows {
-		ok, err := evalPreds(ctx, f.preds, row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			kept = append(kept, row)
-		}
-	}
-	return kept, nil
 }
 
 // groupKeyPlan is one resolved GROUP BY key; a resolution failure is raised
@@ -334,8 +155,9 @@ type compoundPlan struct {
 type selectPlan struct {
 	planErr error // deferred lowering error (nested scopes only)
 
-	input physNode
-	col   *colPlan // columnar pipeline; nil under PlanOptions.RowEngine
+	input colNode
+	proj  *colProj  // non-nil: vectorized ungrouped projection
+	grp   *colGroup // non-nil: vectorized grouped projection
 
 	star          bool // sole `SELECT *` over an ungrouped relation
 	cols          []string
@@ -387,23 +209,25 @@ func (p *selectPlan) exec(ctx *execCtx) (*Result, error) {
 }
 
 // selectOne runs the scan→join→filter input, then grouping, projection,
-// ordering, DISTINCT and LIMIT — in exactly the old evaluation order. The
-// columnar pipeline is the default; it shares this plan's projection
-// closures (through batch row materialization) wherever an expression was
-// not provably vectorizable.
+// ordering, DISTINCT and LIMIT, in that order. A projection or grouping
+// that did not vectorize runs through this plan's row closures over the
+// batch's materialized rows.
 func (p *selectPlan) selectOne(ctx *execCtx) (*Result, error) {
-	if p.col != nil {
-		return p.col.selectOne(ctx, p)
-	}
-	rows, err := p.input.exec(ctx)
+	b, err := p.input.exec(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return p.rowsSelect(ctx, rows)
+	switch {
+	case p.grp != nil:
+		return p.grp.run(p, b)
+	case p.proj != nil:
+		return p.proj.run(p, b)
+	}
+	return p.rowsSelect(ctx, b.rows())
 }
 
-// rowsSelect is the row-at-a-time grouping + projection stage, shared by the
-// row engine and the columnar pipeline's fallback path.
+// rowsSelect is the row-at-a-time grouping + projection stage: the fallback
+// for projections and groupings that do not vectorize.
 func (p *selectPlan) rowsSelect(ctx *execCtx, rows [][]schema.Value) (*Result, error) {
 	var groups [][][]schema.Value
 	if p.explicitGroup {

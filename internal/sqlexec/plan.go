@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/schema"
 	"repro/internal/sqlir"
@@ -14,7 +13,7 @@ import (
 // plan (table scans, join steps, filter conjuncts and projection metadata
 // resolved against the full binding list) and then drives optimization
 // (optimize.go) and compilation into the physical operator tree
-// (operators.go, eval.go).
+// (columnar.go, with eval.go's row closures as its fallback).
 //
 // Error discipline: the previous tree-walking executor resolved names and
 // surfaced errors lazily — an unknown column in WHERE only errored once at
@@ -40,23 +39,6 @@ type PlanOptions struct {
 	NoHashSets bool
 	// NoFold disables constant folding.
 	NoFold bool
-	// RowEngine forces row-at-a-time execution, skipping the columnar
-	// batch pipeline entirely — the differential harness's escape hatch,
-	// mirroring ForceNestedLoop for join strategies.
-	RowEngine bool
-}
-
-// defaultRowEngine, when set, makes every plan compiled without an explicit
-// RowEngine request use the row engine — the -row-engine process switch.
-var defaultRowEngine atomic.Bool
-
-// SetDefaultRowEngine selects the engine used by call sites that don't pass
-// PlanOptions (the shared plan cache included). Call it at process startup:
-// it drops the shared cache so no plan compiled under the other engine
-// survives the switch.
-func SetDefaultRowEngine(on bool) {
-	defaultRowEngine.Store(on)
-	Shared.Reset()
 }
 
 // Unoptimized returns options that disable every optimizer rule — the
@@ -238,25 +220,12 @@ func (pc *planCtx) compile(ls *logSel, opt *optSel, depth int) (*selectPlan, err
 	sel := ls.sel
 
 	// Physical FROM chain: scans, joins with projection pruning, residual
-	// filter. The columnar chain is built in lockstep from the same pruning
-	// and key decisions, so both engines execute the identical logical plan.
-	columnar := !pc.opts.RowEngine && !defaultRowEngine.Load()
-	var node physNode
-	base := &scanNode{table: ls.scans[0].tableName}
-	node = base
-	scanNodes := []*scanNode{base}
-	for i := 1; i < len(ls.scans); i++ {
-		scanNodes = append(scanNodes, &scanNode{table: ls.scans[i].tableName})
+	// filter.
+	scans := make([]*colScanNode, len(ls.scans))
+	for i, sc := range ls.scans {
+		scans[i] = &colScanNode{table: sc.tableName}
 	}
-	var cScans []*colScanNode
-	var cNode colNode
-	if columnar {
-		cScans = make([]*colScanNode, len(ls.scans))
-		for i, sc := range ls.scans {
-			cScans[i] = &colScanNode{table: sc.tableName}
-		}
-		cNode = cScans[0]
-	}
+	var node colNode = scans[0]
 	for j, lj := range ls.joins {
 		sc := ls.scans[j+1]
 		inLayout := opt.layouts[j]    // left input layout
@@ -265,7 +234,7 @@ func (pc *planCtx) compile(ls *logSel, opt *optSel, depth int) (*selectPlan, err
 		for _, fi := range outLayout {
 			outSet[fi] = true
 		}
-		jn := &joinNode{left: node, right: scanNodes[j+1]}
+		jn := &colJoinNode{left: node, right: scans[j+1]}
 		for pos, fi := range inLayout {
 			if outSet[fi] {
 				jn.keepL = append(jn.keepL, pos)
@@ -276,42 +245,29 @@ func (pc *planCtx) compile(ls *logSel, opt *optSel, depth int) (*selectPlan, err
 				jn.keepR = append(jn.keepR, fi-sc.start)
 			}
 		}
-		toCell := func(s sideIdx) cellRef {
-			if s.right {
-				return cellRef{right: true, idx: s.idx - sc.start}
-			}
-			return cellRef{right: false, idx: layoutPos(inLayout, s.idx)}
-		}
 		if lj.normalized {
-			jn.lKey = cellRef{right: false, idx: layoutPos(inLayout, lj.leftKeyFull)}
-			jn.rKey = cellRef{right: true, idx: lj.rightKeyFull - sc.start}
+			jn.lKeyIdx = layoutPos(inLayout, lj.leftKeyFull)
+			jn.rKeyIdx = lj.rightKeyFull - sc.start
 			jn.hash = !pc.opts.ForceNestedLoop
 		} else {
 			// Degenerate ON clause (both columns on one side): filtered
 			// nested loop, keys in written order.
+			toCell := func(s sideIdx) cellRef {
+				if s.right {
+					return cellRef{right: true, idx: s.idx - sc.start}
+				}
+				return cellRef{right: false, idx: layoutPos(inLayout, s.idx)}
+			}
 			jn.lKey = toCell(lj.li)
 			jn.rKey = toCell(lj.ri)
 			jn.degenerate = true
 		}
 		node = jn
-		if columnar {
-			cj := &colJoinNode{
-				left: cNode, right: cScans[j+1],
-				hash: jn.hash, degenerate: jn.degenerate,
-				keepL: jn.keepL, keepR: jn.keepR,
-			}
-			if lj.normalized {
-				cj.lKeyIdx = jn.lKey.idx
-				cj.rKeyIdx = jn.rKey.idx
-			} else {
-				cj.lKey, cj.rKey = jn.lKey, jn.rKey
-			}
-			cNode = cj
-		}
 	}
 
 	// Expression compiler against the final materialized layout.
 	comp := &compiler{pc: pc, bindings: ls.bindings, colMap: opt.finalMap, depth: depth}
+	fcc := &colComp{bindings: ls.bindings, colMap: opt.finalMap}
 
 	// Pushed predicates compile against raw scan rows; pushdown only admits
 	// error-free conjuncts, so each also gets a vector kernel when its shape
@@ -321,15 +277,11 @@ func (pc *planCtx) compile(ls *logSel, opt *optSel, depth int) (*selectPlan, err
 		if target < 0 {
 			continue
 		}
-		sc := ls.scans[target]
-		localMap := scanLocalMap(ls.bindings, sc)
+		localMap := scanLocalMap(ls.bindings, ls.scans[target])
 		scanComp := &compiler{pc: pc, bindings: ls.bindings, colMap: localMap, depth: depth}
 		fn, _ := scanComp.boolFn(ex)
-		scanNodes[target].preds = append(scanNodes[target].preds, fn)
-		if columnar {
-			scc := &colComp{bindings: ls.bindings, colMap: localMap}
-			cScans[target].preds = append(cScans[target].preds, colPredPlan{k: scc.pred(ex), r: fn})
-		}
+		scc := &colComp{bindings: ls.bindings, colMap: localMap}
+		scans[target].preds = append(scans[target].preds, colPredPlan{k: scc.pred(ex), r: fn})
 	}
 	var residual []rowBool
 	var residualExs []sqlir.Expr
@@ -342,23 +294,20 @@ func (pc *planCtx) compile(ls *logSel, opt *optSel, depth int) (*selectPlan, err
 		residualExs = append(residualExs, ex)
 	}
 	if len(residual) > 0 {
-		node = &filterNode{child: node, preds: residual}
-		if columnar {
-			// Vectorize only the prefix before the first error-capable
-			// conjunct; from there on one fused row-major loop preserves the
-			// row engine's first-error exactly (two error-capable conjuncts
-			// evaluated column at a time could error in the wrong order).
-			split := 0
-			for split < len(residualExs) && errorFreeBool(residualExs[split], ls.bindings) {
-				split++
-			}
-			cf := &colFilterNode{child: cNode, fused: residual[split:]}
-			fcc := &colComp{bindings: ls.bindings, colMap: opt.finalMap}
-			for i := 0; i < split; i++ {
-				cf.vecs = append(cf.vecs, colPredPlan{k: fcc.pred(residualExs[i]), r: residual[i]})
-			}
-			cNode = cf
+		// Vectorize only the prefix before the first error-capable
+		// conjunct; from there on one fused row-major loop evaluates each
+		// row's conjuncts left to right, so the first error a row raises
+		// surfaces first (two error-capable conjuncts evaluated column at a
+		// time could error in the wrong order).
+		split := 0
+		for split < len(residualExs) && errorFreeBool(residualExs[split], ls.bindings) {
+			split++
 		}
+		cf := &colFilterNode{child: node, fused: residual[split:]}
+		for i := 0; i < split; i++ {
+			cf.vecs = append(cf.vecs, colPredPlan{k: fcc.pred(residualExs[i]), r: residual[i]})
+		}
+		node = cf
 	}
 
 	p := &selectPlan{input: node}
@@ -425,15 +374,10 @@ func (pc *planCtx) compile(ls *logSel, opt *optSel, depth int) (*selectPlan, err
 	p.hasLimit = sel.HasLimit
 	p.limit = sel.Limit
 
-	if columnar {
-		cp := &colPlan{input: cNode}
-		fcc := &colComp{bindings: ls.bindings, colMap: opt.finalMap}
-		if grouped {
-			cp.grp = buildColGroup(sel, p, fcc)
-		} else {
-			cp.proj = buildColProj(sel, p.star, len(ls.bindings), fcc)
-		}
-		p.col = cp
+	if grouped {
+		p.grp = buildColGroup(sel, p, fcc)
+	} else {
+		p.proj = buildColProj(sel, p.star, len(ls.bindings), fcc)
 	}
 
 	if sel.Compound != nil {
