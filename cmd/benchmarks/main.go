@@ -8,6 +8,7 @@
 //	benchmarks -exp all -workers 8
 //	benchmarks -json [-short]       # executor/engine micro-benchmarks as JSON
 //	benchmarks -json -set catalog   # tenant-catalog micro-benchmarks as JSON
+//	benchmarks -json -set pipeline  # per-stage PURPLE pipeline benchmarks as JSON
 //
 // The -json mode runs a micro-benchmark set through testing.Benchmark and
 // emits one JSON document (ns/op, allocs/op, B/op per benchmark) on stdout.
@@ -21,7 +22,10 @@
 // (BENCH_router.json artifact); "trace" covers the request-tracing layer:
 // the recorded span lifecycle, the contractually allocation-free disabled
 // and unsampled paths, and W3C traceparent parse/inject
-// (BENCH_trace.json artifact). -short skips the
+// (BENCH_trace.json artifact); "pipeline" covers PURPLE's per-question
+// stages on the paper-scale corpus — demonstration selection pulled into a
+// budgeted prompt, and one full translation (BENCH_pipeline.json
+// artifact). -short skips the
 // corpus-building benchmarks for CI latency; workload sizes are identical
 // either way so short and full numbers stay comparable.
 package main
@@ -32,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -45,8 +50,10 @@ import (
 	"repro/internal/eval"
 	"repro/internal/exp"
 	"repro/internal/llm"
+	"repro/internal/prompt"
 	"repro/internal/router"
 	"repro/internal/schema"
+	"repro/internal/selection"
 	"repro/internal/spider"
 	"repro/internal/sqlexec"
 	"repro/internal/sqlir"
@@ -61,7 +68,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "corpus and pipeline seed")
 		workers  = flag.Int("workers", 1, "translation worker pool size (>1 parallelizes; output is identical to -workers 1)")
 		jsonMode = flag.Bool("json", false, "emit micro-benchmark results as JSON and exit")
-		benchSet = flag.String("set", "executor", "with -json: benchmark set to run (executor|catalog|router|trace)")
+		benchSet = flag.String("set", "executor", "with -json: benchmark set to run (executor|catalog|router|trace|pipeline)")
 		short    = flag.Bool("short", false, "with -json: skip the corpus-building benchmarks (exec_ts_metric, engine_batch_translate); workload sizes are unchanged so numbers stay comparable")
 	)
 	flag.Parse()
@@ -77,8 +84,10 @@ func main() {
 			err = runRouterBenchmarks()
 		case "trace":
 			err = runTraceBenchmarks()
+		case "pipeline":
+			err = runPipelineBenchmarks()
 		default:
-			err = fmt.Errorf("unknown -set %q (want executor, catalog, router or trace)", *benchSet)
+			err = fmt.Errorf("unknown -set %q (want executor, catalog, router, trace or pipeline)", *benchSet)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -520,6 +529,70 @@ func runTraceBenchmarks() error {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				trace.Inject(ctx, h)
+			}
+		}},
+	}
+	return emitReport(false, benches)
+}
+
+// pipelineTasks is how many dev tasks the pipeline benchmarks cycle over.
+const pipelineTasks = 64
+
+// runPipelineBenchmarks measures PURPLE's per-question stages on the
+// paper-scale corpus (scale 1.0: 8,659 training demonstrations), building
+// the pipeline the server builds. pipeline_select is demonstration
+// selection as the pipeline runs it: Select over the automaton hierarchy
+// for a dev task's top-k predicted skeletons (predicted once, up front),
+// pulled by prompt.Build into a 3,072-token prompt, with the random fill
+// re-seeded per task. pipeline_translate is one full TranslateContext.
+// Both cycle over the same first pipelineTasks dev tasks.
+func runPipelineBenchmarks() error {
+	fmt.Fprintln(os.Stderr, "building the scale-1.0 corpus and pipeline...")
+	corpus := spider.GenerateSmall(1, 1.0)
+	cfg := core.DefaultConfig()
+	p := core.New(corpus.Train.Examples, llm.NewSim(llm.ChatGPT), cfg)
+	tasks := corpus.Dev.Examples[:pipelineTasks]
+	preds := make([][][]string, len(tasks))
+	for i, e := range tasks {
+		for _, pr := range p.Predictor().Predict(e.NL, cfg.TopK) {
+			preds[i] = append(preds[i], pr.Tokens)
+		}
+	}
+	demos := p.Demos()
+	pool := make([]int, len(demos))
+	for i := range pool {
+		pool[i] = i
+	}
+
+	benches := []namedBench{
+		{"pipeline_select", func(b *testing.B) {
+			rng := rand.New(rand.NewSource(0))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(tasks)
+				rng.Seed(int64(k))
+				order := selection.Select(p.Hierarchy(), preds[k], selection.Options{Policy: cfg.Policy, Rng: rng, FillPool: pool})
+				pulled := func(yield func(prompt.Demo) bool) {
+					for d := range order {
+						if !yield(demos[d]) {
+							return
+						}
+					}
+				}
+				if prompt.Build("", pulled, tasks[k].DB, tasks[k].NL, cfg.PromptTokens).DemosUsed == 0 {
+					b.Fatal("no demonstration fits the budget")
+				}
+			}
+		}},
+		{"pipeline_translate", func(b *testing.B) {
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if p.TranslateContext(ctx, tasks[i%len(tasks)]).SQL == "" {
+					b.Fatal("empty translation")
+				}
 			}
 		}},
 	}

@@ -7,6 +7,7 @@
 package baselines
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -137,7 +138,7 @@ func (s *DINSQL) Name() string { return "DIN-SQL(" + s.Client.Name() + ")" }
 // Translate implements core.Translator.
 func (s *DINSQL) Translate(e *spider.Example) core.Translation {
 	instructions := "-- Let's think step by step: link the schema, classify the question, then write the SQL."
-	built := prompt.Build(instructions, s.fixed, e.DB, e.NL, 0)
+	built := prompt.Build(instructions, slices.Values(s.fixed), e.DB, e.NL, 0)
 	resp := s.Client.Complete(llm.Request{
 		Prompt: built.Text, N: 1, Task: e, SchemaInPrompt: e.DB,
 		CoT:  true,
@@ -204,9 +205,12 @@ func (s *DAILSQL) Translate(e *spider.Example) core.Translation {
 		ranking[i] = scored{i, 0.7*jaccard(predKw, s.kws[i]) + 0.3*jaccardSet(nlWords, s.words[i])}
 	}
 	sort.SliceStable(ranking, func(i, j int) bool { return ranking[i].score > ranking[j].score })
-	ordered := make([]prompt.Demo, 0, len(ranking))
-	for _, r := range ranking {
-		ordered = append(ordered, s.demos[r.idx])
+	ordered := func(yield func(prompt.Demo) bool) {
+		for _, r := range ranking {
+			if !yield(s.demos[r.idx]) {
+				return
+			}
+		}
 	}
 	maxTok := s.MaxTokens
 	if maxTok <= 0 {

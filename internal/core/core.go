@@ -7,7 +7,10 @@ package core
 
 import (
 	"context"
+	"iter"
 	"math/rand"
+	"slices"
+	"time"
 
 	"repro/internal/adaption"
 	"repro/internal/automaton"
@@ -175,6 +178,10 @@ func (p *Pipeline) Predictor() *predictor.Model { return p.pred }
 // Hierarchy exposes the constructed automaton hierarchy.
 func (p *Pipeline) Hierarchy() *automaton.Hierarchy { return p.hier }
 
+// Demos exposes the pre-rendered demonstrations, indexed like the training
+// set and the hierarchy's matches.
+func (p *Pipeline) Demos() []prompt.Demo { return p.demos }
+
 // Translate runs the full pipeline on one task.
 func (p *Pipeline) Translate(e *spider.Example) Translation {
 	return p.TranslateContext(context.Background(), e)
@@ -188,6 +195,10 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 	ctx, tsp := trace.StartSpan(ctx, "pipeline.translate")
 	tsp.SetAttrs(trace.Int("task_id", int64(e.ID)), trace.Str("db", e.DB.Name))
 
+	// The per-task rng drives selection's noise knobs and random fill, or
+	// the ablation's permutation. Nothing draws from it after selection, so
+	// a fill permutation that prompt.Build never pulls far enough to draw
+	// leaves every later output unchanged.
 	rng := rand.New(rand.NewSource(p.cfg.Seed*1_000_003 + int64(e.ID)))
 
 	// Step 1: schema pruning.
@@ -220,9 +231,11 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 		sp.Finish()
 	}
 
-	// Step 3: demonstration selection.
+	// Step 3: demonstration selection. Select builds the preference matrix
+	// and returns the order lazily, so the span closes when it returns; the
+	// demonstrations prompt.Build pulls are counted as they are produced.
 	_, ssp := trace.StartSpan(ctx, "pipeline.select")
-	var order []int
+	var order iter.Seq[int]
 	if p.cfg.UseSelection {
 		order = selection.Select(p.hier, preds, selection.Options{
 			Policy:     p.cfg.Policy,
@@ -232,17 +245,23 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 			FillPool:   p.allIdx,
 		})
 	} else {
-		order = rng.Perm(len(p.demos)) // the -Demonstration Selection ablation
+		order = slices.Values(rng.Perm(len(p.demos))) // the -Demonstration Selection ablation
 	}
-	demos := make([]prompt.Demo, 0, len(order))
-	for _, i := range order {
-		demos = append(demos, p.demos[i])
+	selected := time.Now()
+	candidates := 0
+	demos := func(yield func(prompt.Demo) bool) {
+		for i := range order {
+			candidates++
+			if !yield(p.demos[i]) {
+				return
+			}
+		}
 	}
-	ssp.SetAttrs(trace.Int("candidates", int64(len(demos))))
-	ssp.Finish()
 
 	// Step 4: prompt assembly and LLM inference.
 	built := prompt.Build("", demos, taskDB, e.NL, p.cfg.PromptTokens)
+	ssp.SetAttrs(trace.Int("candidates", int64(candidates)))
+	ssp.FinishAt(selected)
 	n := p.cfg.Consistency
 	if n <= 0 {
 		n = 1

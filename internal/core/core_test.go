@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"repro/internal/eval"
 	"repro/internal/llm"
 	"repro/internal/spider"
+	"repro/internal/trace"
 )
 
 func pipelineFixture(t *testing.T, cfg Config) (*Pipeline, *spider.Corpus) {
@@ -50,6 +53,40 @@ func TestTranslateDeterministic(t *testing.T) {
 	b := p.Translate(e)
 	if a.SQL != b.SQL {
 		t.Errorf("translation not deterministic: %q vs %q", a.SQL, b.SQL)
+	}
+}
+
+// TestTracedSelectSpan checks the select stage as a traced translation
+// records it: the answer equals the untraced one, the span closes when
+// Select returns (before prompt assembly, so before the LLM call starts),
+// and its candidates attribute counts the demonstrations prompt assembly
+// pulled — the ones used plus the first that did not fit the budget.
+func TestTracedSelectSpan(t *testing.T) {
+	p, c := pipelineFixture(t, DefaultConfig())
+	tr := trace.New(trace.Config{Service: "test", Sample: 1})
+	for _, e := range c.Dev.Examples[:10] {
+		ctx, root := tr.StartRoot(context.Background(), "translate", trace.SpanContext{})
+		got := p.TranslateContext(ctx, e)
+		root.Finish()
+		if want := p.Translate(e); got != want {
+			t.Fatalf("task %d: traced %+v, untraced %+v", e.ID, got, want)
+		}
+		tj, ok := tr.Trace(root.Context().TraceID)
+		if !ok {
+			t.Fatalf("task %d: trace not recorded", e.ID)
+		}
+		spans := map[string]trace.SpanJSON{}
+		for _, sp := range tj.Spans {
+			spans[sp.Name] = sp
+		}
+		sel, llmSpan := spans["pipeline.select"], spans["llm.complete"]
+		if cand := sel.Attrs["candidates"]; cand != int64(got.DemosUsed+1) {
+			t.Errorf("task %d: candidates = %v, want demos used + 1 = %d", e.ID, cand, got.DemosUsed+1)
+		}
+		selEnd := sel.Start.Add(time.Duration(sel.DurationMs * float64(time.Millisecond)))
+		if selEnd.After(llmSpan.Start) {
+			t.Errorf("task %d: select span ends at %v, after llm.complete starts at %v", e.ID, selEnd, llmSpan.Start)
+		}
 	}
 }
 

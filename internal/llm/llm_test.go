@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func buildPrompt(e *spider.Example, demoSQLs ...string) string {
 	for _, sql := range demoSQLs {
 		demos = append(demos, prompt.Demo{DB: e.DB, NL: "demo question", SQL: sql})
 	}
-	return prompt.Build("", demos, e.DB, e.NL, 0).Text
+	return prompt.Build("", slices.Values(demos), e.DB, e.NL, 0).Text
 }
 
 func TestDeterministicCompletion(t *testing.T) {

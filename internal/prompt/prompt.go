@@ -6,6 +6,7 @@
 package prompt
 
 import (
+	"iter"
 	"strings"
 
 	"repro/internal/schema"
@@ -40,9 +41,11 @@ type Result struct {
 
 // Build renders instructions, as many demonstrations as fit, and the task
 // section, within maxTokens. The task section always fits (it is reserved
-// first); demonstrations are added in preference order until the budget is
-// exhausted. maxTokens <= 0 means unlimited.
-func Build(instructions string, demos []Demo, taskDB *schema.Database, nl string, maxTokens int) Result {
+// first); demonstrations are pulled from demos in preference order and
+// added until the first one that does not fit, after which Build pulls no
+// more. A nil demos builds a zero-shot prompt. maxTokens <= 0 means
+// unlimited.
+func Build(instructions string, demos iter.Seq[Demo], taskDB *schema.Database, nl string, maxTokens int) Result {
 	var task strings.Builder
 	task.WriteString(TaskHeader)
 	task.WriteByte('\n')
@@ -58,7 +61,10 @@ func Build(instructions string, demos []Demo, taskDB *schema.Database, nl string
 	budget := maxTokens - Tokens(task.String()) - Tokens(sb.String())
 
 	used := 0
-	for _, d := range demos {
+	if demos == nil {
+		demos = func(func(Demo) bool) {}
+	}
+	for d := range demos {
 		var ds strings.Builder
 		ds.WriteString(DemoHeader)
 		ds.WriteByte('\n')

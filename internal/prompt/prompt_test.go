@@ -1,6 +1,7 @@
 package prompt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestTokens(t *testing.T) {
 
 func TestBuildContainsSections(t *testing.T) {
 	demos := []Demo{{DB: demoDB(), NL: "How many singers?", SQL: "SELECT COUNT(*) FROM singer"}}
-	r := Build("-- inst", demos, demoDB(), "List names.", 0)
+	r := Build("-- inst", slices.Values(demos), demoDB(), "List names.", 0)
 	for _, want := range []string{"-- inst", DemoHeader, TaskHeader, "singer(id, name)", "Q: List names.", "SQL: SELECT COUNT(*) FROM singer", "FK singer.id -> band.id"} {
 		if !strings.Contains(r.Text, want) {
 			t.Errorf("prompt missing %q:\n%s", want, r.Text)
@@ -52,8 +53,8 @@ func TestBudgetLimitsDemos(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		demos = append(demos, Demo{DB: demoDB(), NL: "How many singers are there in total?", SQL: "SELECT COUNT(*) FROM singer"})
 	}
-	small := Build("", demos, demoDB(), "List names.", 300)
-	large := Build("", demos, demoDB(), "List names.", 2000)
+	small := Build("", slices.Values(demos), demoDB(), "List names.", 300)
+	large := Build("", slices.Values(demos), demoDB(), "List names.", 2000)
 	if small.DemosUsed >= large.DemosUsed {
 		t.Errorf("budget has no effect: small=%d large=%d", small.DemosUsed, large.DemosUsed)
 	}
@@ -62,6 +63,29 @@ func TestBudgetLimitsDemos(t *testing.T) {
 	}
 	if large.DemosUsed == 0 {
 		t.Error("no demos fit a 2000-token budget")
+	}
+}
+
+// TestBuildStopsPullingAtFirstMisfit: Build pulls demonstrations one at a
+// time and stops at the first that does not fit, so a lazy producer does
+// no work past the budget; without a budget it drains the sequence.
+func TestBuildStopsPullingAtFirstMisfit(t *testing.T) {
+	pulled := 0
+	demos := func(yield func(Demo) bool) {
+		for i := 0; i < 1000; i++ {
+			pulled++
+			if !yield(Demo{DB: demoDB(), NL: "How many singers are there?", SQL: "SELECT COUNT(*) FROM singer"}) {
+				return
+			}
+		}
+	}
+	r := Build("", demos, demoDB(), "List names.", 500)
+	if r.DemosUsed == 0 || pulled != r.DemosUsed+1 {
+		t.Errorf("budgeted build pulled %d demonstrations for %d used, want used + 1", pulled, r.DemosUsed)
+	}
+	pulled = 0
+	if r := Build("", demos, demoDB(), "List names.", 0); pulled != 1000 || r.DemosUsed != 1000 {
+		t.Errorf("unbudgeted build pulled %d and used %d of 1000", pulled, r.DemosUsed)
 	}
 }
 
@@ -77,7 +101,7 @@ func TestParseDemoSQLs(t *testing.T) {
 		{DB: demoDB(), NL: "q1", SQL: "SELECT a FROM t"},
 		{DB: demoDB(), NL: "q2", SQL: "SELECT b FROM u"},
 	}
-	r := Build("", demos, demoDB(), "task question", 0)
+	r := Build("", slices.Values(demos), demoDB(), "task question", 0)
 	got := ParseDemoSQLs(r.Text)
 	if len(got) != 2 || got[0] != "SELECT a FROM t" || got[1] != "SELECT b FROM u" {
 		t.Errorf("ParseDemoSQLs = %v", got)
@@ -92,7 +116,7 @@ func TestParseDemoSQLsIgnoresTaskSQLPrefix(t *testing.T) {
 }
 
 func TestTaskSchemaSize(t *testing.T) {
-	r := Build("", []Demo{{DB: demoDB(), NL: "q", SQL: "SELECT 1 FROM x"}}, demoDB(), "task", 0)
+	r := Build("", slices.Values([]Demo{{DB: demoDB(), NL: "q", SQL: "SELECT 1 FROM x"}}), demoDB(), "task", 0)
 	tables, cols := TaskSchemaSize(r.Text)
 	if tables != 1 || cols != 2 {
 		t.Errorf("TaskSchemaSize = %d tables, %d cols; want 1, 2", tables, cols)

@@ -4,11 +4,15 @@
 // preference matrix — levels × predictions, finest level and highest-
 // probability prediction first — popping demonstrations from the top-p
 // non-empty cells and growing p by the INCREASE-Generalization schedule
-// until every matched demonstration is queued.
+// until every matched demonstration is queued. The order is produced
+// lazily: a prompt keeps only the demonstrations its token budget admits,
+// so the walk stops as soon as the prompt stops pulling.
 package selection
 
 import (
+	"iter"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/automaton"
 )
@@ -24,18 +28,15 @@ type Policy struct {
 	Name string
 }
 
-// Linear returns a policy adding step to p each round.
+// Linear returns a policy adding step to p each round, named "Linear-<step>".
 func Linear(p0, step int) Policy {
-	name := "Linear-1"
-	if step == 3 {
-		name = "Linear-3"
-	}
-	return Policy{P0: p0, Increase: func(p int) int { return p + step }, Name: name}
+	return Policy{P0: p0, Increase: func(p int) int { return p + step }, Name: "Linear-" + strconv.Itoa(step)}
 }
 
-// Exp returns a policy multiplying p by factor each round.
+// Exp returns a policy multiplying p by factor each round, named
+// "Exp-<factor>".
 func Exp(p0, factor int) Policy {
-	return Policy{P0: p0, Increase: func(p int) int { return p * factor }, Name: "Exp-2"}
+	return Policy{P0: p0, Increase: func(p int) int { return p * factor }, Name: "Exp-" + strconv.Itoa(factor)}
 }
 
 // DefaultPolicy is the paper's default: p0 = 1, increase by 1 per round,
@@ -61,9 +62,17 @@ type Options struct {
 }
 
 // Select runs Algorithm 1. predSkeletons are the top-k Detail-Level token
-// sequences ordered by model probability (highest first). The result is the
-// demonstration indexes in preference order, deduplicated.
-func Select(h *automaton.Hierarchy, predSkeletons [][]string, opts Options) []int {
+// sequences ordered by model probability (highest first). The result is
+// the demonstration indexes in preference order, deduplicated.
+//
+// Select draws the Drop-y noise and builds the preference matrix (one
+// automaton lookup per level and prediction) before it returns. Popping
+// cells, deduplicating and drawing the FillPool permutation from Rng
+// happen only as the consumer pulls: a consumer that stops after n
+// demonstrations pays for n, and Rng is drawn from only once the matches
+// run out. Every walk draws a fresh permutation, so with a FillPool the
+// result is a single-use iterator: range over it once.
+func Select(h *automaton.Hierarchy, predSkeletons [][]string, opts Options) iter.Seq[int] {
 	policy := opts.Policy
 	if policy.Increase == nil {
 		policy = DefaultPolicy()
@@ -76,76 +85,72 @@ func Select(h *automaton.Hierarchy, predSkeletons [][]string, opts Options) []in
 
 	// Build the preference matrix I: cell order is level-major, prediction
 	// rank minor (cells 1..k are Detail over top-1..top-k, then Keywords...),
-	// exactly Figure 8's numbering.
-	type cell struct {
-		matches []int
-		next    int
-	}
-	var cells []*cell
+	// exactly Figure 8's numbering. Masked levels contribute empty cells.
+	cells := make([][]int, 0, automaton.NumLevels*len(preds))
 	for l := automaton.Detail; l <= automaton.Clause; l++ {
-		if int(l) <= opts.MaskLevels {
-			// Masked levels contribute empty cells.
-			for range preds {
-				cells = append(cells, &cell{})
-			}
-			continue
-		}
-		auto := h.Levels[l-1]
 		for _, p := range preds {
-			cells = append(cells, &cell{matches: auto.Match(p)})
+			var matches []int
+			if int(l) > opts.MaskLevels {
+				matches = h.Levels[l-1].Match(p)
+			}
+			cells = append(cells, matches)
 		}
 	}
 
-	selected := []int{}
-	seen := map[int]bool{}
-	p := policy.P0
-	for {
-		remaining := false
-		for _, c := range cells {
-			if c.next < len(c.matches) {
-				remaining = true
-				break
-			}
-		}
-		if !remaining {
-			break
-		}
-		// GET-TOP(I, p): the first p cells that still hold matches.
-		taken := 0
-		for _, c := range cells {
-			if taken >= p {
-				break
-			}
-			if c.next >= len(c.matches) {
-				continue
-			}
-			taken++
-			// POP-DEMO: next unseen demonstration from this cell.
-			for c.next < len(c.matches) {
-				d := c.matches[c.next]
-				c.next++
-				if !seen[d] {
-					seen[d] = true
-					selected = append(selected, d)
+	return func(yield func(int) bool) {
+		next := make([]int, len(cells)) // per cell, the next match to pop
+		seen := map[int]bool{}
+		p := policy.P0
+		for {
+			remaining := false
+			for i, c := range cells {
+				if next[i] < len(c) {
+					remaining = true
 					break
 				}
 			}
+			if !remaining {
+				break
+			}
+			// GET-TOP(I, p): the first p cells that still hold matches.
+			taken := 0
+			for i, c := range cells {
+				if taken >= p {
+					break
+				}
+				if next[i] >= len(c) {
+					continue
+				}
+				taken++
+				// POP-DEMO: next unseen demonstration from this cell.
+				for next[i] < len(c) {
+					d := c[next[i]]
+					next[i]++
+					if !seen[d] {
+						seen[d] = true
+						if !yield(d) {
+							return
+						}
+						break
+					}
+				}
+			}
+			p = policy.Increase(p)
+			if p <= 0 {
+				break
+			}
 		}
-		p = policy.Increase(p)
-		if p <= 0 {
-			break
-		}
-	}
 
-	if opts.FillPool != nil && opts.Rng != nil {
-		perm := opts.Rng.Perm(len(opts.FillPool))
-		for _, i := range perm {
-			d := opts.FillPool[i]
-			if !seen[d] {
-				seen[d] = true
-				selected = append(selected, d)
+		if opts.FillPool != nil && opts.Rng != nil {
+			for _, i := range opts.Rng.Perm(len(opts.FillPool)) {
+				d := opts.FillPool[i]
+				if !seen[d] {
+					seen[d] = true
+					if !yield(d) {
+						return
+					}
+				}
 			}
 		}
 	}
-	return selected
 }
