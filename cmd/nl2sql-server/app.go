@@ -44,7 +44,6 @@ type appConfig struct {
 	DrainTimeout   time.Duration
 	MaxTenants     int
 	TenantIdleTTL  time.Duration
-	TenantCacheCap int
 	BootstrapSeeds string
 	// DataDir, when set, makes tenant state durable: catalog mutations go
 	// to a WAL and tenant snapshots persist under this directory, so a
@@ -72,12 +71,9 @@ type appConfig struct {
 	TraceSample float64
 	TraceSlow   time.Duration
 	// LLMFault enables the LLM fault-injection layer and its /v1/faults
-	// control endpoint (chaos/soak runs toggle brownout windows through it);
-	// LLMFaultLatency and LLMFaultErrorRate set the always-on base regime
-	// (both zero = faults only inside scenario-opened brownout windows).
-	LLMFault          bool
-	LLMFaultLatency   time.Duration
-	LLMFaultErrorRate float64
+	// control endpoint: faults apply only inside the brownout windows that
+	// chaos/soak runs open through it.
+	LLMFault bool
 	// LogLevel/LogFormat configure the process-wide slog default handler.
 	LogLevel  string
 	LogFormat string
@@ -127,7 +123,6 @@ type app struct {
 	cat     *catalog.Catalog
 	st      *store.Store
 	rt      *router.Router
-	reg     *metrics.Registry
 	srv     *http.Server
 	ln      net.Listener
 	started chan struct{} // closed once the listener is bound
@@ -147,31 +142,26 @@ func newApp(cfg appConfig) (*app, error) {
 	base, client := sim, sim
 	var fault *llm.Fault
 	if cfg.LLMFault {
-		fault = llm.NewFault(llm.FaultConfig{
-			Latency: cfg.LLMFaultLatency, ErrorRate: cfg.LLMFaultErrorRate, Seed: cfg.Seed,
-		})
+		fault = llm.NewFault(llm.FaultConfig{Seed: cfg.Seed})
 		// The catalog path is degraded inside the per-tenant caches (tenants
 		// wrap base themselves); the pipeline path is wrapped again outside
 		// its cache below, so a brownout bites even on cache hits.
 		base = fault.Wrap(sim)
-		slog.Info("llm fault injection enabled",
-			"latency", cfg.LLMFaultLatency.String(), "error_rate", cfg.LLMFaultErrorRate)
+		slog.Info("llm fault injection enabled")
 	}
-	reg := metrics.NewRegistry()
-	metrics.RegisterProcess(reg)
 	svcName := "nl2sql-server"
 	if cfg.ShardID != "" {
 		svcName = "shard:" + cfg.ShardID
 	}
 	tr := newTracer(cfg, svcName)
-	opts := []service.Option{service.WithMetrics(reg), service.WithWorkers(cfg.Workers)}
+	opts := []service.Option{service.WithWorkers(cfg.Workers)}
 	if tr != nil {
 		opts = append(opts, service.WithTracer(tr))
 	}
+	var cache *llm.Cache
 	if cfg.CacheCap > 0 {
-		cache := llm.NewCache(client, cfg.CacheCap)
+		cache = llm.NewCache(client, cfg.CacheCap)
 		client = cache
-		opts = append(opts, service.WithCache(cache))
 	}
 	if fault != nil {
 		// Outermost on the pipeline path: injected latency and brownout
@@ -218,7 +208,6 @@ func newApp(cfg appConfig) (*app, error) {
 			Fallback:     catalog.NewFallback(boot),
 			MaxTenants:   cfg.MaxTenants,
 			IdleTTL:      cfg.TenantIdleTTL,
-			CacheCap:     cfg.TenantCacheCap,
 			Store:        st,
 			MemoryBudget: cfg.TenantMemBudget,
 		})
@@ -236,6 +225,10 @@ func newApp(cfg appConfig) (*app, error) {
 	}
 	pipeline := core.New(corpus.Train.Examples, client, core.DefaultConfig())
 	svc := service.New(pipeline, corpus, opts...)
+	metrics.RegisterProcess(svc.Registry())
+	if cache != nil {
+		cache.Instrument(svc.Registry(), "llm")
+	}
 	slog.Info("pipeline ready", "startup", time.Since(start).Round(time.Millisecond).String(),
 		"dev_tasks", len(corpus.Dev.Examples), "databases", len(corpus.Dev.Databases),
 		"job_runners", cfg.JobRunners, "job_queue", cfg.JobQueue)
@@ -254,7 +247,6 @@ func newApp(cfg appConfig) (*app, error) {
 		svc: svc,
 		cat: cat,
 		st:  st,
-		reg: reg,
 		ln:  ln,
 		srv: &http.Server{
 			Handler:      handler,
@@ -281,7 +273,7 @@ func storeInstance(shardID string) string {
 }
 
 // newRouterApp assembles the proxy tier: no corpus, no pipeline — the
-// consistent-hash router over -shards plus its own metrics registry.
+// consistent-hash router over -shards.
 func newRouterApp(cfg appConfig) (*app, error) {
 	var shards []string
 	for _, s := range strings.Split(cfg.Shards, ",") {
@@ -289,19 +281,17 @@ func newRouterApp(cfg appConfig) (*app, error) {
 			shards = append(shards, s)
 		}
 	}
-	reg := metrics.NewRegistry()
-	metrics.RegisterProcess(reg)
 	rt, err := router.New(router.Config{
 		Shards:        shards,
 		ProbeInterval: cfg.ProbeInterval,
 		HedgeAfter:    cfg.HedgeAfter,
 		Retries:       cfg.Retries,
-		Registry:      reg,
 		Tracer:        newTracer(cfg, "router"),
 	})
 	if err != nil {
 		return nil, err
 	}
+	metrics.RegisterProcess(rt.Registry())
 	handler := http.Handler(rt.Handler())
 	if cfg.Pprof {
 		handler = withPprof(handler)
@@ -316,7 +306,6 @@ func newRouterApp(cfg appConfig) (*app, error) {
 	return &app{
 		cfg: cfg,
 		rt:  rt,
-		reg: reg,
 		ln:  ln,
 		srv: &http.Server{
 			Handler:      handler,

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // TestCrashRecovery is the durability end-to-end check: it builds the real
@@ -167,23 +170,23 @@ func TestCrashRecovery(t *testing.T) {
 
 	// Before any tenant request: the tenant was recovered from the WAL as a
 	// lazy stub — no model rebuild submitted, no snapshot file read yet.
-	// (/v1/stats reads catalog state without Lookup, so it cannot itself
+	// (/v1/metrics reads catalog state without Lookup, so it cannot itself
 	// trigger the load.)
-	pre := catalogStats(t, base2)
-	if pre.BuildsDone != 0 {
-		t.Errorf("builds_done = %d after restart, want 0 (tenant re-trained)", pre.BuildsDone)
+	pre := scrapeMetrics(t, base2)
+	if got := pre["catalog_builds_done_total"]; got != 0 {
+		t.Errorf("catalog_builds_done_total = %v after restart, want 0 (tenant re-trained)", got)
 	}
-	if pre.Store == nil {
-		t.Fatal("no store stats after restart with -data-dir")
+	if _, ok := pre["store_loads_total"]; !ok {
+		t.Fatal("no store series after restart with -data-dir")
 	}
-	if pre.Store.Recovered != 1 {
-		t.Errorf("recovered_tenants = %d, want 1", pre.Store.Recovered)
+	if got := pre["store_recovered_tenants"]; got != 1 {
+		t.Errorf("store_recovered_tenants = %v, want 1", got)
 	}
-	if pre.Store.Loads != 0 {
-		t.Errorf("store loads = %d before first tenant request, want 0 (load must be lazy)", pre.Store.Loads)
+	if got := pre["store_loads_total"]; got != 0 {
+		t.Errorf("store_loads_total = %v before first tenant request, want 0 (load must be lazy)", got)
 	}
-	if pre.Store.RecoveryMs < 0 {
-		t.Errorf("recovery_ms = %v, want >= 0", pre.Store.RecoveryMs)
+	if got, ok := pre["store_recovery_ms"]; !ok || got < 0 {
+		t.Errorf("store_recovery_ms = %v (present %v), want >= 0", got, ok)
 	}
 
 	// First tenant request after the crash: served from the persisted
@@ -196,15 +199,15 @@ func TestCrashRecovery(t *testing.T) {
 		t.Errorf("post-recovery snapshot state %q, want ready (models should come from the store)", second.State)
 	}
 
-	post := catalogStats(t, base2)
-	if post.BuildsDone != 0 {
-		t.Errorf("builds_done = %d after recovered translation, want 0", post.BuildsDone)
+	post := scrapeMetrics(t, base2)
+	if got := post["catalog_builds_done_total"]; got != 0 {
+		t.Errorf("catalog_builds_done_total = %v after recovered translation, want 0", got)
 	}
-	if post.Store.Loads != 1 {
-		t.Errorf("store loads = %d after first tenant request, want 1", post.Store.Loads)
+	if got := post["store_loads_total"]; got != 1 {
+		t.Errorf("store_loads_total = %v after first tenant request, want 1", got)
 	}
-	if post.Store.BytesLoaded == 0 {
-		t.Error("bytes_loaded = 0 after a lazy snapshot load")
+	if post["store_bytes_loaded_total"] == 0 {
+		t.Error("store_bytes_loaded_total = 0 after a lazy snapshot load")
 	}
 }
 
@@ -257,29 +260,22 @@ func tenantTranslate(t *testing.T, base, db, question string) translateResult {
 	return out
 }
 
-// crashCatalogStats is the slice of /v1/stats this test cares about.
-type crashCatalogStats struct {
-	BuildsDone int64 `json:"builds_done"`
-	Store      *struct {
-		Loads       int64   `json:"loads"`
-		BytesLoaded int64   `json:"bytes_loaded"`
-		Recovered   int64   `json:"recovered_tenants"`
-		RecoveryMs  float64 `json:"recovery_ms"`
-	} `json:"store"`
-}
-
-func catalogStats(t *testing.T, base string) crashCatalogStats {
+// scrapeMetrics fetches base's /v1/metrics and parses the exposition into
+// samples keyed by name{labels}.
+func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/stats")
+	resp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st struct {
-		Catalog crashCatalogStats `json:"catalog"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Catalog
+	samples, err := metrics.ParseExposition(body)
+	if err != nil {
+		t.Fatalf("GET %s/v1/metrics: %v", base, err)
+	}
+	return samples
 }

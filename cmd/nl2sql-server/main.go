@@ -7,7 +7,6 @@
 //	curl -X POST localhost:8080/v1/jobs -d '{"task_ids": [0,1,2,3]}'   # async: returns a job id
 //	curl localhost:8080/v1/jobs/job-000001                             # poll progress/results
 //	curl -X DELETE localhost:8080/v1/jobs/job-000001                   # cancel
-//	curl localhost:8080/v1/stats                                       # JSON counters
 //	curl localhost:8080/v1/metrics                                     # Prometheus text exposition
 //	curl -X POST localhost:8080/v1/execute -d '{"database":"tv","sql":"SELECT COUNT(*) FROM cartoon"}'
 //
@@ -69,7 +68,6 @@ func main() {
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown budget per drain stage (HTTP, jobs, catalog)")
 	flag.IntVar(&cfg.MaxTenants, "max-tenants", 64, "registered-database cap; past it the least-recently-used tenant is evicted (0 disables the catalog)")
 	flag.DurationVar(&cfg.TenantIdleTTL, "tenant-idle-ttl", 0, "evict tenants unused for this long (0 disables idle eviction)")
-	flag.IntVar(&cfg.TenantCacheCap, "tenant-cache", 1024, "per-tenant LLM cache capacity in entries (<0 disables)")
 	flag.StringVar(&cfg.BootstrapSeeds, "bootstrap-seeds", "1,2", "comma-separated corpus seeds whose training splits train the catalog's shared warming models")
 	flag.StringVar(&cfg.DataDir, "data-dir", "", "directory for durable tenant state (WAL + snapshots); empty keeps the catalog memory-only")
 	flag.StringVar(&cfg.WALSync, "wal-sync", "always", "WAL durability: always (fsync per append), interval (batched), never (OS-buffered)")
@@ -83,9 +81,7 @@ func main() {
 	flag.IntVar(&cfg.Retries, "retries", 2, "router retry budget: extra attempts against other shards after a transport error (negative disables)")
 	flag.Float64Var(&cfg.TraceSample, "trace-sample", 1, "head-sampling probability for request traces (1 traces every request, 0 only requests arriving with a sampled traceparent, negative disables tracing entirely)")
 	flag.DurationVar(&cfg.TraceSlow, "trace-slow", 250*time.Millisecond, "requests slower than this are retained in the slow-trace ring regardless of churn (error traces always are)")
-	flag.BoolVar(&cfg.LLMFault, "llm-fault", false, "enable the LLM fault-injection layer and its /v1/faults control endpoint (chaos/soak testing)")
-	flag.DurationVar(&cfg.LLMFaultLatency, "llm-fault-latency", 0, "always-on injected latency per LLM call (requires -llm-fault; brownout windows are opened via POST /v1/faults)")
-	flag.Float64Var(&cfg.LLMFaultErrorRate, "llm-fault-error-rate", 0, "always-on probability in [0,1] that an LLM call is answered with a corrupt completion (requires -llm-fault)")
+	flag.BoolVar(&cfg.LLMFault, "llm-fault", false, "enable the LLM fault-injection layer and its /v1/faults control endpoint; brownout windows are opened via POST /v1/faults (chaos/soak testing)")
 	flag.StringVar(&cfg.LogLevel, "log-level", "info", "minimum structured-log level: debug, info, warn, error")
 	flag.StringVar(&cfg.LogFormat, "log-format", "text", "structured-log encoding: text or json")
 	flag.Parse()

@@ -54,7 +54,6 @@ func startShard(t *testing.T, dir, addr string) *shardProc {
 		JobRunners:     0,
 		DrainTimeout:   10 * time.Second,
 		MaxTenants:     16,
-		TenantCacheCap: 0,
 		BootstrapSeeds: "1",
 		DataDir:        dir,
 		WALSync:        "never",
@@ -291,16 +290,7 @@ func TestShardedTopology(t *testing.T) {
 	waitHealthy(t, c, 1)
 
 	// The router drove at least one adoption, visible on its metrics.
-	resp, err := http.Get(c.base + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	expo, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	samples, err := metrics.ParseExposition(expo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	samples := scrapeMetrics(t, c.base)
 	if got := metrics.SumSamples(samples, "router_adoptions_total"); got < float64(len(byShard[addr1])) {
 		t.Errorf("router_adoptions_total = %v, want >= %d (one per tenant stranded on the dead shard)", got, len(byShard[addr1]))
 	}

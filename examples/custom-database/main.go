@@ -5,13 +5,14 @@
 // (2) observes the warming→ready transition as the tenant's own models
 // train asynchronously, (3) gets tenant-scoped translations and SQL
 // execution, (4) re-registers a revised schema and watches the version
-// bump, and (5) reads the per-tenant counters off /v1/stats.
+// bump, and (5) reads the per-tenant series off /v1/metrics.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/llm"
+	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/spider"
 )
@@ -144,15 +146,37 @@ func main() {
 	put(ts.URL+"/v1/databases/bookstore", rev, &status)
 	fmt.Printf("re-registered: state=%s version=%d\n", status.State, status.Version)
 
-	// 6. Per-tenant observability on /v1/stats.
-	var stats struct {
-		Catalog *catalog.Stats `json:"catalog"`
+	// 6. Per-tenant observability: the tenant_* series on /v1/metrics,
+	// labeled by tenant name. The mean translate latency is the latency sum
+	// over the translation count.
+	samples := scrape(ts.URL + "/v1/metrics")
+	series := func(name string) float64 { return samples[name+`{tenant="bookstore"}`] }
+	translations := series("tenant_translations_total")
+	meanMs := 0.0
+	if translations > 0 {
+		meanMs = 1e3 * series("tenant_translate_seconds_total") / translations
 	}
-	get(ts.URL+"/v1/stats", &stats)
-	for _, t := range stats.Catalog.Tenants {
-		fmt.Printf("stats: tenant=%s state=%s v%d lookups=%d translations=%d avg=%.1fms\n",
-			t.Name, t.State, t.Version, t.Lookups, t.Translations, t.AvgTranslateMs)
+	fmt.Printf("metrics: tenant=bookstore translations=%g lookups=%g mean_translate=%.1fms ready=%g\n",
+		translations, series("tenant_lookups_total"), meanMs, series("tenant_ready"))
+}
+
+// scrape fetches a Prometheus text exposition and parses it into samples
+// keyed by name{labels}.
+func scrape(url string) map[string]float64 {
+	resp, err := http.Get(url)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		log.Fatal(err)
+	}
+	samples, err := metrics.ParseExposition(body)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return samples
 }
 
 func post(url string, body, out any) { send(http.MethodPost, url, body, out) }

@@ -134,8 +134,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Tenant is one registered database. Snapshot is the only method hot paths
-// need; the Record* methods feed the per-tenant counters surfaced on
-// /v1/stats. All methods are safe for concurrent use without locks.
+// need; the Record* methods feed the per-tenant series on /v1/metrics. All
+// methods are safe for concurrent use without locks.
 type Tenant struct {
 	key  string // lower-cased name, the map key
 	snap atomic.Pointer[Snapshot]
@@ -172,55 +172,51 @@ func (t *Tenant) touch(now time.Time) {
 	t.lookups.Add(1)
 }
 
-// TenantStats is one tenant's row in Stats.
+// TenantStats is one tenant's row in Stats. Schema-level facts (version,
+// tables, demonstrations, registration time) live on the tenant's Snapshot.
 type TenantStats struct {
-	Name         string `json:"name"`
-	State        string `json:"state"`
-	Version      int    `json:"version"`
-	Tables       int    `json:"tables"`
-	Demos        int    `json:"demos"`
-	Lookups      int64  `json:"lookups"`
-	Translations int64  `json:"translations"`
-	Executions   int64  `json:"executions"`
-	// AvgTranslateMs is mean translation latency in milliseconds (0 before
-	// any translation).
-	AvgTranslateMs float64 `json:"avg_translate_ms"`
+	Name         string
+	State        string
+	Lookups      int64
+	Translations int64
+	Executions   int64
+	// TranslateSeconds is the summed translation latency; divided by
+	// Translations it is the mean.
+	TranslateSeconds float64
 	// LLM cache counters for the tenant's current snapshot (zero when
 	// caching is disabled).
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
+	CacheHits   int64
+	CacheMisses int64
 	// Plan cache counters for the tenant's prepared-statement cache.
-	PlanCacheHits   int64     `json:"plan_cache_hits"`
-	PlanCacheMisses int64     `json:"plan_cache_misses"`
-	Registered      time.Time `json:"registered"`
-	LastUsed        time.Time `json:"last_used,omitempty"`
+	PlanCacheHits   int64
+	PlanCacheMisses int64
 }
 
 // Stats is the catalog-wide observability snapshot.
 type Stats struct {
-	Tenants []TenantStats `json:"tenants"`
+	Tenants []TenantStats
 	// MaxTenants echoes the configured cap.
-	MaxTenants int `json:"max_tenants"`
+	MaxTenants int
 	// Lifetime counters.
-	Registered   int64 `json:"registered"`
-	Reregistered int64 `json:"reregistered"`
-	Deregistered int64 `json:"deregistered"`
-	Evicted      int64 `json:"evicted"`
+	Registered   int64
+	Reregistered int64
+	Deregistered int64
+	Evicted      int64
 	// Adopted counts tenants taken over from another shard's persisted
 	// snapshot in a shared store (resharding hand-off, no re-training).
-	Adopted      int64 `json:"adopted,omitempty"`
-	BuildsDone   int64 `json:"builds_done"`
-	BuildsStale  int64 `json:"builds_stale"`
-	BuildsFailed int64 `json:"builds_failed"`
+	Adopted      int64
+	BuildsDone   int64
+	BuildsStale  int64
+	BuildsFailed int64
 	// Unloads counts ready tenants flipped back to stored stubs by the
 	// memory-budget accountant or idle reclamation (store-backed catalogs
 	// only).
-	Unloads int64 `json:"unloads,omitempty"`
+	Unloads int64
 	// StoreResidentBytes is the loaded (resident) portion of the persisted
 	// tenant state the memory budget governs.
-	StoreResidentBytes int64 `json:"store_resident_bytes,omitempty"`
+	StoreResidentBytes int64
 	// Store mirrors the snapshot store's own counters; nil without a store.
-	Store *store.Stats `json:"store,omitempty"`
+	Store *store.Stats
 }
 
 type tenantMap map[string]*Tenant
@@ -717,27 +713,15 @@ func (c *Catalog) Stats() Stats {
 		st := c.cfg.Store.Stats()
 		out.Store = &st
 	}
-	out.Tenants = []TenantStats{} // empty registry serializes as [], not null
 	for _, t := range *c.tenants.Load() {
 		s := t.Snapshot()
 		ts := TenantStats{
-			Name:         s.Name,
-			State:        string(s.State),
-			Version:      s.Version,
-			Demos:        len(s.Demos),
-			Lookups:      t.lookups.Load(),
-			Translations: t.translations.Load(),
-			Executions:   t.execs.Load(),
-			Registered:   s.Registered,
-		}
-		if s.DB != nil { // stored stubs carry no schema until loaded
-			ts.Tables = len(s.DB.Tables)
-		}
-		if lu := t.lastUsed.Load(); lu > 0 {
-			ts.LastUsed = time.Unix(0, lu)
-		}
-		if n := ts.Translations; n > 0 {
-			ts.AvgTranslateMs = float64(t.translateNs.Load()) / float64(n) / 1e6
+			Name:             s.Name,
+			State:            string(s.State),
+			Lookups:          t.lookups.Load(),
+			Translations:     t.translations.Load(),
+			Executions:       t.execs.Load(),
+			TranslateSeconds: time.Duration(t.translateNs.Load()).Seconds(),
 		}
 		if s.Cache != nil {
 			cs := s.Cache.Stats()

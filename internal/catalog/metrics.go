@@ -29,11 +29,14 @@ func (c *Catalog) Instrument(reg *metrics.Registry) {
 			s.Counter("store_loads_total", "Tenant snapshots lazily loaded from the store.", float64(ss.Loads))
 			s.Counter("store_load_failures_total", "Snapshot loads that failed verification (tenant dropped durably).", float64(ss.LoadFailures))
 			s.Counter("store_saves_total", "Tenant snapshots persisted (registration + build completion).", float64(ss.Saves))
+			s.Counter("store_save_failures_total", "Snapshot writes that failed to encode, write or publish.", float64(ss.SaveFailures))
+			s.Counter("store_deletes_total", "Tenant snapshot files removed by deregistration or eviction.", float64(ss.Deletes))
 			s.Counter("store_bytes_loaded_total", "Snapshot bytes read from the store.", float64(ss.BytesLoaded))
 			s.Counter("store_bytes_saved_total", "Snapshot bytes written to the store.", float64(ss.BytesSaved))
 			s.Counter("store_wal_appends_total", "Catalog mutations appended to the write-ahead log.", float64(ss.WALAppends))
 			s.Counter("store_wal_syncs_total", "WAL fsyncs issued.", float64(ss.WALSyncs))
 			s.Counter("store_compactions_total", "WAL compactions performed at startup.", float64(ss.Compactions))
+			s.Gauge("store_wal_records_replayed", "WAL records replayed at startup.", float64(ss.WALReplayed))
 			s.Gauge("store_recovered_tenants", "Tenants replayed from the WAL at startup.", float64(ss.Recovered))
 			s.Gauge("store_recovery_ms", "Startup WAL replay + snapshot scan time in milliseconds.", ss.RecoveryMs)
 			s.Gauge("store_snapshot_files", "Snapshot files currently on disk.", float64(ss.Snapshots))
@@ -42,6 +45,7 @@ func (c *Catalog) Instrument(reg *metrics.Registry) {
 		for _, t := range st.Tenants {
 			lbl := metrics.L("tenant", t.Name)
 			s.Counter("tenant_translations_total", "Translations served for the tenant.", float64(t.Translations), lbl)
+			s.Counter("tenant_translate_seconds_total", "Summed translation latency for the tenant; divided by tenant_translations_total it is the mean.", t.TranslateSeconds, lbl)
 			s.Counter("tenant_executions_total", "/execute queries served for the tenant.", float64(t.Executions), lbl)
 			s.Counter("tenant_lookups_total", "Tenant resolutions on the request hot path.", float64(t.Lookups), lbl)
 			s.Counter("tenant_llm_cache_hits_total", "Tenant LLM cache hits.", float64(t.CacheHits), lbl)

@@ -208,19 +208,19 @@ func (j *job) snapshot() Status {
 type Counters struct {
 	// QueueDepth is the number of jobs admitted but not yet running;
 	// QueueCap the admission limit; Running how many are executing now.
-	QueueDepth int `json:"queue_depth"`
-	QueueCap   int `json:"queue_cap"`
-	Running    int `json:"running"`
+	QueueDepth int
+	QueueCap   int
+	Running    int
 	// QueuePeak is the deepest the admission queue has ever been — the
 	// high-water mark saturation tests read to prove back-pressure built
 	// up even after the queue drained again.
-	QueuePeak int `json:"queue_peak"`
+	QueuePeak int
 	// Lifetime totals since the manager started.
-	Submitted int `json:"submitted"`
-	Rejected  int `json:"rejected"`
-	Completed int `json:"completed"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
+	Submitted int
+	Rejected  int
+	Completed int
+	Failed    int
+	Cancelled int
 }
 
 // Manager owns the queue, the runner pool and the job table.

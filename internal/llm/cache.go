@@ -34,11 +34,11 @@ type Cache struct {
 
 // CacheStats is a point-in-time snapshot of the cache counters.
 type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Entries   int   `json:"entries"`
-	Capacity  int   `json:"capacity"`
+	Hits      int64
+	Misses    int64
+	Evictions int64
+	Entries   int
+	Capacity  int
 }
 
 // HitRate is hits / (hits + misses), or 0 before any lookup.

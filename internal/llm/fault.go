@@ -30,14 +30,14 @@ type FaultConfig struct {
 // FaultStats is a point-in-time snapshot of a Fault's counters.
 type FaultStats struct {
 	// Calls counts every Complete through any wrapped client.
-	Calls int64 `json:"calls"`
+	Calls int64
 	// InjectedLatency counts calls that paid an added-latency sleep;
 	// InjectedErrors counts calls answered with a synthesized bad
 	// completion instead of the inner client.
-	InjectedLatency int64 `json:"injected_latency"`
-	InjectedErrors  int64 `json:"injected_errors"`
+	InjectedLatency int64
+	InjectedErrors  int64
 	// Brownout reports whether the brownout window is currently open.
-	Brownout bool `json:"brownout"`
+	Brownout bool
 }
 
 // Fault is the fault-injection control plane: a base regime that applies

@@ -41,7 +41,6 @@ func testService(t *testing.T) (*httptest.Server, *metrics.Registry) {
 		t.Fatal(err)
 	}
 	p := core.New(srvCorpus.Train.Examples, cache, cfg)
-	reg := metrics.NewRegistry()
 	// Sample 0: the server records only requests arriving with a sampled
 	// traceparent, which is exactly what TestTraceSampling asserts. The
 	// recent ring is sized far past anything a sub-second run can produce,
@@ -49,12 +48,11 @@ func testService(t *testing.T) (*httptest.Server, *metrics.Registry) {
 	// cap the run's slowest trace can age out before the test fetches it.
 	tr := trace.New(trace.Config{Service: "loadgen-test", Sample: 0, Slow: time.Hour, RecentCap: 1 << 16})
 	s := service.New(p, srvCorpus,
-		service.WithCache(cache),
-		service.WithMetrics(reg),
 		service.WithCatalog(cat),
 		service.WithJobs(jobs.Config{Runners: 1, Queue: 8, TTL: -1}),
 		service.WithTracer(tr),
 	)
+	cache.Instrument(s.Registry(), "llm")
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		srv.Close()
@@ -63,7 +61,7 @@ func testService(t *testing.T) (*httptest.Server, *metrics.Registry) {
 		s.Shutdown(ctx)
 		cat.Close(ctx)
 	})
-	return srv, reg
+	return srv, s.Registry()
 }
 
 func TestParseMix(t *testing.T) {

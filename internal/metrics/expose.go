@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net/http"
 	"regexp"
 	"sort"
 	"strconv"
@@ -123,6 +124,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ServeHTTP serves the registry in Prometheus text exposition format — the
+// GET /v1/metrics handler of every serving mode. The exposition is rendered
+// to memory first so a failure (a collector emitting an invalid name) can
+// still answer 500: streaming would have committed the 200 status line
+// before the error surfaced.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", ContentType)
+	w.Write(buf.Bytes())
 }
 
 func writeHeader(w *bufio.Writer, name, help string, k kind) {

@@ -73,9 +73,6 @@ type Config struct {
 	// the router's observed p95, clamped to [2ms, 500ms], re-derived each
 	// probe tick. Negative disables hedging.
 	HedgeAfter time.Duration
-	// Registry receives the router_* instruments and the proxy's
-	// http_requests_total (default: a fresh registry, served at /v1/metrics).
-	Registry *metrics.Registry
 	// Tracer, when non-nil, opens a root span per proxied request (adopting a
 	// sampled client traceparent), tags each upstream attempt, and serves
 	// /v1/traces with cross-shard span merging on /v1/traces/{id}.
@@ -208,10 +205,7 @@ func New(cfg Config) (*Router, error) {
 	}
 
 	rt.tracer = cfg.Tracer
-	rt.reg = cfg.Registry
-	if rt.reg == nil {
-		rt.reg = metrics.NewRegistry()
-	}
+	rt.reg = metrics.NewRegistry()
 	rt.latAll = metrics.NewHistogram(metrics.DefBuckets)
 	rt.latShard = make(map[string]*metrics.Histogram, len(shards))
 	for _, s := range shards {
@@ -394,6 +388,11 @@ func (rt *Router) hedgeDelay() (time.Duration, bool) {
 	}
 }
 
+// Registry exposes the router's metrics registry — the router_* instruments
+// and the proxy's http_requests_total, served at /v1/metrics — so the caller
+// can register process gauges on the same exposition.
+func (rt *Router) Registry() *metrics.Registry { return rt.reg }
+
 // Healthy returns the shards currently in the routing table.
 func (rt *Router) Healthy() []string {
 	return append([]string(nil), rt.tab.Load().ring.Shards()...)
@@ -411,14 +410,14 @@ func (rt *Router) Epoch() uint64 { return rt.tab.Load().epoch }
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /v1/metrics", rt.handleMetrics)
+	mux.Handle("GET /v1/metrics", rt.reg)
 	mux.HandleFunc("GET /v1/router", rt.handleStatus)
 	// With tracing off these patterns are absent, so /v1/traces proxies
 	// through to a shard like any other GET — a single-shard deployment
 	// still answers. With tracing on, the router answers itself, merging
 	// shard spans into its own trees on the by-ID lookup.
 	if rt.tracer != nil {
-		mux.HandleFunc("GET /v1/traces", rt.handleTraces)
+		mux.HandleFunc("GET /v1/traces", rt.tracer.ServeList)
 		mux.HandleFunc("GET /v1/traces/{id}", rt.handleTraceGet)
 	}
 	mux.HandleFunc("/", rt.handleProxy)
@@ -431,16 +430,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Write([]byte("ok\n"))
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := rt.reg.WritePrometheus(&buf); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", metrics.ContentType)
-	w.Write(buf.Bytes())
 }
 
 // ShardStatus is one shard's row in the /v1/router report.

@@ -10,29 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TraceListResponse wraps the router's GET /v1/traces: its own captured
-// traces, newest-first, retained (slow/error) ahead of the recent ring.
-// Listing is local to the router — the edge samples every proxied request,
-// so its list is the topology's index; the by-ID lookup does the fan-out.
-type TraceListResponse struct {
-	Service string          `json:"service,omitempty"`
-	Traces  []trace.Summary `json:"traces"`
-}
-
-func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) {
-	f, err := trace.FilterFromQuery(r.URL.Query())
-	if err != nil {
-		http.Error(w, "bad filter: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	out := TraceListResponse{Service: rt.tracer.Service(), Traces: rt.tracer.Traces(f)}
-	if out.Traces == nil {
-		out.Traces = []trace.Summary{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
-}
-
 // handleTraceGet assembles the cross-process tree for one trace ID: the
 // router's own spans plus whatever every healthy shard captured under the
 // same ID (shard spans carry their own service name, so the merged tree

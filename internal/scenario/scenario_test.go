@@ -12,7 +12,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/llm"
 	"repro/internal/loadgen"
-	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/spider"
 )
@@ -218,14 +217,12 @@ func testServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	p := core.New(corpus.Train.Examples, client, cfg)
-	reg := metrics.NewRegistry()
 	s := service.New(p, corpus,
-		service.WithCache(cache),
-		service.WithMetrics(reg),
 		service.WithCatalog(cat),
 		service.WithJobs(jobs.Config{Runners: 1, Queue: 2, TTL: -1}),
 		service.WithFault(fault),
 	)
+	cache.Instrument(s.Registry(), "llm")
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		srv.Close()

@@ -170,17 +170,16 @@ func TestTenantRegisterTranslateLifecycle(t *testing.T) {
 		t.Fatalf("unmatched question: %+v", artifacts)
 	}
 
-	// Per-tenant counters surface on /v1/stats.
-	var stats StatsResponse
-	if resp := doJSON(t, http.MethodGet, srv.URL+"/v1/stats", nil, &stats); resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats status %d", resp.StatusCode)
+	// Per-tenant series surface on /v1/metrics.
+	samples, body := scrape(t, srv.URL)
+	if got := samples["catalog_tenants"]; got != 1 {
+		t.Fatalf("catalog_tenants = %g, want 1\n%s", got, body)
 	}
-	if stats.Catalog == nil || len(stats.Catalog.Tenants) != 1 {
-		t.Fatalf("catalog stats missing: %+v", stats.Catalog)
-	}
-	ts := stats.Catalog.Tenants[0]
-	if ts.Name != "petshop" || ts.State != "ready" || ts.Translations < 2 || ts.Lookups < 2 {
-		t.Errorf("tenant stats: %+v", ts)
+	readyGauge := samples[`tenant_ready{tenant="petshop"}`]
+	translations := samples[`tenant_translations_total{tenant="petshop"}`]
+	lookups := samples[`tenant_lookups_total{tenant="petshop"}`]
+	if readyGauge != 1 || translations < 2 || lookups < 2 {
+		t.Errorf("tenant series: ready=%g translations=%g lookups=%g", readyGauge, translations, lookups)
 	}
 
 	// The tenant also shows up in the database listing.

@@ -18,12 +18,12 @@ func faultRegime(c llm.FaultConfig) FaultRegime {
 	return FaultRegime{LatencyMs: float64(c.Latency) / 1e6, ErrorRate: c.ErrorRate}
 }
 
-// FaultStateResponse reports the fault layer's regimes and counters.
+// FaultStateResponse reports the fault layer's regimes. Its injection
+// counters are on /v1/metrics as llm_fault_*.
 type FaultStateResponse struct {
 	Brownout bool        `json:"brownout"`
 	Base     FaultRegime `json:"base"`
 	Window   FaultRegime `json:"window"`
-	llm.FaultStats
 }
 
 // FaultSetRequest toggles the brownout window. LatencyMs/ErrorRate, when
@@ -38,10 +38,9 @@ type FaultSetRequest struct {
 func (s *Server) faultState() FaultStateResponse {
 	base, window := s.fault.Configs()
 	return FaultStateResponse{
-		Brownout:   s.fault.Brownout(),
-		Base:       faultRegime(base),
-		Window:     faultRegime(window),
-		FaultStats: s.fault.Stats(),
+		Brownout: s.fault.Brownout(),
+		Base:     faultRegime(base),
+		Window:   faultRegime(window),
 	}
 }
 

@@ -51,10 +51,10 @@ type JobStatusResponse struct {
 	Results []BatchItem `json:"results,omitempty"`
 }
 
-// JobListResponse wraps the job listing plus queue counters.
+// JobListResponse wraps the job listing. Queue and lifecycle counters are
+// on /v1/metrics as jobs_*.
 type JobListResponse struct {
-	Jobs     []JobStatusResponse `json:"jobs"`
-	Counters jobs.Counters       `json:"counters"`
+	Jobs []JobStatusResponse `json:"jobs"`
 }
 
 func rfc3339(t time.Time) string {
@@ -159,7 +159,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "questions is empty", http.StatusBadRequest)
 			return
 		}
-		if len(req.Questions) > s.maxBatch {
+		if len(req.Questions) > maxBatch {
 			http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
 			return
 		}
@@ -181,7 +181,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "task_ids is empty", http.StatusBadRequest)
 			return
 		}
-		if len(req.TaskIDs) > s.maxBatch {
+		if len(req.TaskIDs) > maxBatch {
 			http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
 			return
 		}
@@ -231,7 +231,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	out := JobListResponse{Jobs: []JobStatusResponse{}, Counters: s.jobs.Stats()}
+	out := JobListResponse{Jobs: []JobStatusResponse{}}
 	for _, st := range s.jobs.List() {
 		out.Jobs = append(out.Jobs, s.jobStatusResponse(st, false))
 	}

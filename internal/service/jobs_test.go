@@ -153,21 +153,18 @@ func TestJobEndpointLifecycle(t *testing.T) {
 		}
 	}
 
-	// Listing shows the job and counters; results stay out of the listing.
+	// Listing shows the job; results stay out of the listing.
 	var ls JobListResponse
 	doJSON(t, http.MethodGet, srv.URL+"/v1/jobs", nil, &ls)
 	if len(ls.Jobs) != 1 || ls.Jobs[0].ID != created.ID || ls.Jobs[0].Results != nil {
 		t.Errorf("bad listing: %+v", ls)
 	}
-	if ls.Counters.Submitted != 1 || ls.Counters.Completed != 1 {
-		t.Errorf("listing counters: %+v", ls.Counters)
-	}
 
-	// /v1/stats carries the queue counters.
-	var st StatsResponse
-	doJSON(t, http.MethodGet, srv.URL+"/v1/stats", nil, &st)
-	if !st.JobsEnabled || st.Jobs == nil || st.Jobs.Completed != 1 {
-		t.Errorf("stats missing jobs: %+v", st)
+	// /v1/metrics carries the queue counters.
+	samples, _ := scrape(t, srv.URL)
+	if samples["jobs_submitted_total"] != 1 || samples["jobs_completed_total"] != 1 {
+		t.Errorf("jobs counters: submitted=%g completed=%g, want 1 and 1",
+			samples["jobs_submitted_total"], samples["jobs_completed_total"])
 	}
 }
 
@@ -246,10 +243,8 @@ func TestJobEndpointQueueSaturation(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("want 429 at saturation, got %d", resp.StatusCode)
 	}
-	var st StatsResponse
-	doJSON(t, http.MethodGet, srv.URL+"/v1/stats", nil, &st)
-	if st.Jobs == nil || st.Jobs.Rejected == 0 {
-		t.Errorf("rejection not counted: %+v", st.Jobs)
+	if samples, _ := scrape(t, srv.URL); samples["jobs_rejected_total"] == 0 {
+		t.Error("rejection not counted on jobs_rejected_total")
 	}
 	// Unblock the runner quickly for cleanup.
 	doJSON(t, http.MethodDelete, srv.URL+"/v1/jobs/"+running.ID, nil, nil)
@@ -257,7 +252,7 @@ func TestJobEndpointQueueSaturation(t *testing.T) {
 
 // TestJobEndpointErrors covers the job-route error surface.
 func TestJobEndpointErrors(t *testing.T) {
-	srv, _, _ := jobsTestServer(t, jobs.Config{Runners: 1, Queue: 4}, WithMaxBatch(5))
+	srv, _, _ := jobsTestServer(t, jobs.Config{Runners: 1, Queue: 4})
 
 	// Malformed JSON body.
 	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader("{nope"))
@@ -276,7 +271,7 @@ func TestJobEndpointErrors(t *testing.T) {
 		t.Errorf("out of range: %d", r.StatusCode)
 	}
 	// Oversized batch.
-	if r := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", JobCreateRequest{TaskIDs: []int{0, 1, 2, 3, 4, 0}}, nil); r.StatusCode != http.StatusRequestEntityTooLarge {
+	if r := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", JobCreateRequest{TaskIDs: outOfRangeIDs(maxBatch + 1)}, nil); r.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized batch: %d", r.StatusCode)
 	}
 	// Unknown job ID on get and cancel.
@@ -295,16 +290,18 @@ func TestJobEndpointErrors(t *testing.T) {
 	}
 }
 
-// TestJobEndpointsDisabled: without WithJobs the routes don't exist.
+// TestJobEndpointsDisabled: without WithJobs the routes don't exist and no
+// jobs_* series is exported.
 func TestJobEndpointsDisabled(t *testing.T) {
 	srv, _ := testServer(t)
 	if r := doJSON(t, http.MethodGet, srv.URL+"/v1/jobs", nil, nil); r.StatusCode != http.StatusNotFound {
 		t.Errorf("jobs listing on disabled server: %d", r.StatusCode)
 	}
-	var st StatsResponse
-	doJSON(t, http.MethodGet, srv.URL+"/v1/stats", nil, &st)
-	if st.JobsEnabled || st.Jobs != nil {
-		t.Errorf("stats claim jobs enabled: %+v", st)
+	samples, _ := scrape(t, srv.URL)
+	for key := range samples {
+		if strings.HasPrefix(key, "jobs_") {
+			t.Errorf("jobs-less server exports %s", key)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -12,36 +11,23 @@ import (
 	"repro/internal/trace"
 )
 
-// serverMetrics holds the server's HTTP-path instruments. Each registered
-// route pre-resolves its latency histogram at Handler() time and caches its
+// routeMetrics is one route's instrument handles. Each registered route
+// pre-resolves its latency histogram at Handler() time and caches its
 // per-status counters in a sync.Map, so the per-request record path is two
 // atomic bumps, a histogram observe and (warm) one lock-free map load — no
 // label rendering and no registry lookups.
-type serverMetrics struct {
-	reg      *metrics.Registry
-	inflight *metrics.Gauge
-}
-
-func newServerMetrics(reg *metrics.Registry) *serverMetrics {
-	return &serverMetrics{
-		reg:      reg,
-		inflight: reg.Gauge("http_inflight_requests", "HTTP requests currently being served."),
-	}
-}
-
-// routeMetrics is one route's instrument handles.
 type routeMetrics struct {
-	m     *serverMetrics
+	reg   *metrics.Registry
 	route string
 	hist  *metrics.Histogram
 	codes sync.Map // int status -> *metrics.Counter
 }
 
-func (m *serverMetrics) route(pattern string) *routeMetrics {
+func newRouteMetrics(reg *metrics.Registry, pattern string) *routeMetrics {
 	return &routeMetrics{
-		m:     m,
+		reg:   reg,
 		route: pattern,
-		hist: m.reg.Histogram("http_request_duration_seconds",
+		hist: reg.Histogram("http_request_duration_seconds",
 			"HTTP request latency by route.", metrics.DefBuckets, metrics.L("route", pattern)),
 	}
 }
@@ -50,7 +36,7 @@ func (rm *routeMetrics) counterFor(status int) *metrics.Counter {
 	if c, ok := rm.codes.Load(status); ok {
 		return c.(*metrics.Counter)
 	}
-	c := rm.m.reg.Counter("http_requests_total", "HTTP requests by route and status code.",
+	c := rm.reg.Counter("http_requests_total", "HTTP requests by route and status code.",
 		metrics.L("route", rm.route), metrics.L("code", strconv.Itoa(status)))
 	actual, _ := rm.codes.LoadOrStore(status, c)
 	return actual.(*metrics.Counter)
@@ -75,16 +61,9 @@ const TraceIDHeader = trace.IDHeader
 
 // instrument wraps a handler with the route's request counter and latency
 // histogram, and — when tracing is enabled — a root span extracted from (or
-// seeding) the request's W3C traceparent. With both subsystems disabled it
-// returns the handler unchanged, so the default server pays nothing.
+// seeding) the request's W3C traceparent.
 func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
-	if s.metrics == nil && s.tracer == nil {
-		return h
-	}
-	var rm *routeMetrics
-	if s.metrics != nil {
-		rm = s.metrics.route(pattern)
-	}
+	rm := newRouteMetrics(s.reg, pattern)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -103,19 +82,15 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 			w.Header().Set(TraceIDHeader, sp.TraceID())
 			r = r.WithContext(ctx)
 		}
-		if s.metrics != nil {
-			s.metrics.inflight.Add(1)
-		}
+		s.inflight.Add(1)
 		// Deferred so a panicking handler (net/http recovers it per
 		// connection) still decrements the in-flight gauge and records the
 		// request — otherwise each panic drifts the gauge up permanently.
 		defer func() {
 			elapsed := time.Since(start)
-			if s.metrics != nil {
-				s.metrics.inflight.Add(-1)
-				rm.hist.Observe(elapsed.Seconds())
-				rm.counterFor(rec.status).Inc()
-			}
+			s.inflight.Add(-1)
+			rm.hist.Observe(elapsed.Seconds())
+			rm.counterFor(rec.status).Inc()
 			if sp != nil {
 				sp.SetAttrs(trace.Int("status", int64(rec.status)))
 				sp.SetError(rec.status >= http.StatusInternalServerError)
@@ -131,18 +106,4 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 		}()
 		h(rec, r)
 	}
-}
-
-// handleMetrics serves the registry in Prometheus text exposition format.
-// The exposition is rendered to memory first so a failure (a collector
-// emitting an invalid name) can still answer 500 — streaming would have
-// committed the 200 status line before the error surfaced.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := s.metrics.reg.WritePrometheus(&buf); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", metrics.ContentType)
-	w.Write(buf.Bytes())
 }

@@ -14,9 +14,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// metricsServer builds a server with the full observability wiring: LLM
-// cache, jobs and the metrics registry.
-func metricsServer(t *testing.T) (*httptest.Server, *metrics.Registry) {
+// metricsServer builds a server with the full observability wiring: an
+// instrumented LLM cache and jobs.
+func metricsServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	c, _ := tenantSubstrate()
 	cfg := core.DefaultConfig()
@@ -24,17 +24,15 @@ func metricsServer(t *testing.T) (*httptest.Server, *metrics.Registry) {
 	base := llm.NewSim(llm.ChatGPT)
 	cache := llm.NewCache(base, 256)
 	p := core.New(c.Train.Examples, cache, cfg)
-	reg := metrics.NewRegistry()
-	s := New(p, c,
-		WithCache(cache),
-		WithMetrics(reg),
-		WithJobs(jobs.Config{Runners: 1, Queue: 4, TTL: -1}),
-	)
+	s := New(p, c, WithJobs(jobs.Config{Runners: 1, Queue: 4, TTL: -1}))
+	cache.Instrument(s.Registry(), "llm")
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
-	return srv, reg
+	return srv
 }
 
+// scrape fetches url's /v1/metrics and parses the exposition into samples
+// keyed by name{labels}, failing the test on a non-200 or a malformed body.
 func scrape(t *testing.T, url string) (map[string]float64, string) {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/metrics")
@@ -60,7 +58,7 @@ func scrape(t *testing.T, url string) (map[string]float64, string) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv, _ := metricsServer(t)
+	srv := metricsServer(t)
 
 	// Generate traffic across routes and status codes.
 	id := 0
@@ -69,7 +67,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	postJSON(t, srv.URL+"/v1/translate", TranslateRequest{TaskID: &id}, &tr)
 	bad := 99999
 	postJSON(t, srv.URL+"/v1/translate", TranslateRequest{TaskID: &bad}, nil) // 404
-	resp, err := http.Get(srv.URL + "/v1/stats")
+	resp, err := http.Get(srv.URL + "/v1/databases")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +81,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := samples[`http_requests_total{code="404",route="POST /v1/translate"}`]; got != 1 {
 		t.Errorf("translate 404 count = %g, want 1", got)
 	}
-	if got := samples[`http_requests_total{code="200",route="GET /v1/stats"}`]; got != 1 {
-		t.Errorf("stats 200 count = %g, want 1", got)
+	if got := samples[`http_requests_total{code="200",route="GET /v1/databases"}`]; got != 1 {
+		t.Errorf("databases 200 count = %g, want 1", got)
 	}
 	// The latency histogram must agree with the counter and expose buckets.
 	if got := samples[`http_request_duration_seconds_count{route="POST /v1/translate"}`]; got != 3 {
@@ -112,7 +110,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestMetricsScrapeIsSelfInstrumented: the /v1/metrics route records itself,
 // so the second scrape sees the first.
 func TestMetricsScrapeIsSelfInstrumented(t *testing.T) {
-	srv, _ := metricsServer(t)
+	srv := metricsServer(t)
 	scrape(t, srv.URL)
 	samples, _ := scrape(t, srv.URL)
 	if got := samples[`http_requests_total{code="200",route="GET /v1/metrics"}`]; got != 1 {
@@ -120,24 +118,10 @@ func TestMetricsScrapeIsSelfInstrumented(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled: without WithMetrics the endpoint is absent and
-// requests take the uninstrumented path.
-func TestMetricsDisabled(t *testing.T) {
-	srv, _ := testServer(t)
-	resp, err := http.Get(srv.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /v1/metrics without metrics = %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestMetricsConcurrentScrape races traffic against scrapes; meaningful
 // under -race.
 func TestMetricsConcurrentScrape(t *testing.T) {
-	srv, _ := metricsServer(t)
+	srv := metricsServer(t)
 	done := make(chan error, 2)
 	go func() {
 		var firstErr error

@@ -23,10 +23,10 @@ import (
 	"repro/internal/trace"
 )
 
-// defaultMaxBatch caps how many tasks one /v1/batch or /v1/jobs request may
-// carry; larger requests are rejected with 413 so a single caller cannot
-// monopolize the engine.
-const defaultMaxBatch = 1024
+// maxBatch caps how many tasks one /v1/batch or /v1/jobs request may carry;
+// larger requests are rejected with 413 so a single caller cannot monopolize
+// the engine.
+const maxBatch = 1024
 
 // Server wires a pipeline and a set of databases into an http.Handler.
 type Server struct {
@@ -34,14 +34,13 @@ type Server struct {
 	pipeline *core.Pipeline
 	corpus   *spider.Corpus
 	byDB     map[string][]*spider.Example
-	cache    *llm.Cache
 	fault    *llm.Fault
 	jobs     *jobs.Manager
 	catalog  *catalog.Catalog
-	metrics  *serverMetrics
+	reg      *metrics.Registry
+	inflight *metrics.Gauge
 	tracer   *trace.Tracer
 	workers  int
-	maxBatch int
 
 	// shardID, when set, is stamped on every response as X-NL2SQL-Shard so
 	// a proxying router (and its clients) can attribute work to the shard
@@ -58,28 +57,15 @@ type Server struct {
 // Option configures optional server features.
 type Option func(*Server)
 
-// WithCache exposes an LLM cache's counters on /v1/stats. Pass the same
-// *llm.Cache the pipeline's client was wrapped with.
-func WithCache(c *llm.Cache) Option { return func(s *Server) { s.cache = c } }
-
 // WithFault mounts the fault-injection control surface (GET/POST /v1/faults)
 // for a chaos run: POST toggles the Fault's brownout window (optionally
-// reshaping it), GET reports regimes and injection counters. Pass the same
-// *llm.Fault the server's LLM clients were wrapped with; the injection
-// counters additionally export as llm_fault_* when metrics are enabled.
+// reshaping it), GET reports the regimes. Pass the same *llm.Fault the
+// server's LLM clients were wrapped with; its injection counters export on
+// /v1/metrics as llm_fault_*.
 func WithFault(f *llm.Fault) Option { return func(s *Server) { s.fault = f } }
 
 // WithWorkers sets the default /v1/batch worker-pool size (default 4).
 func WithWorkers(n int) Option { return func(s *Server) { s.workers = n } }
-
-// WithMaxBatch overrides the per-request task cap (default 1024).
-func WithMaxBatch(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxBatch = n
-		}
-	}
-}
 
 // WithJobs enables the asynchronous job subsystem (/v1/jobs endpoints): a
 // jobs.Manager wrapping the server's pipeline is started with cfg. Call
@@ -98,7 +84,7 @@ func WithJobsManager(m *jobs.Manager) Option {
 
 // WithCatalog enables the multi-tenant database subsystem: the /v1/databases
 // CRUD endpoints, tenant-scoped translate/execute/batch/jobs, and per-tenant
-// counters on /v1/stats. The caller owns the catalog's lifecycle.
+// series on /v1/metrics. The caller owns the catalog's lifecycle.
 func WithCatalog(c *catalog.Catalog) Option {
 	return func(s *Server) { s.catalog = c }
 }
@@ -116,16 +102,6 @@ func WithShardID(id string) Option { return func(s *Server) { s.shardID = id } }
 // own target when the shard predates attribution).
 const ShardHeader = "X-NL2SQL-Shard"
 
-// WithMetrics enables the observability layer on reg: every route is wrapped
-// in per-route/per-status request counters and latency histograms, a GET
-// /v1/metrics endpoint serves the registry in Prometheus text format, and
-// the server's subsystems (LLM cache, shared plan cache, jobs, catalog) are
-// registered as scrape-time collectors. Pass a fresh registry per server —
-// collectors are registered once, in New.
-func WithMetrics(reg *metrics.Registry) Option {
-	return func(s *Server) { s.metrics = newServerMetrics(reg) }
-}
-
 // WithTracer enables request tracing: every route opens a root span
 // (honoring inbound W3C traceparent), the pipeline/catalog/jobs/execution
 // layers open children through the request context, and GET /v1/traces
@@ -135,11 +111,17 @@ func WithTracer(t *trace.Tracer) Option { return func(s *Server) { s.tracer = t 
 // Tracer exposes the tracer (nil unless WithTracer was passed).
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
-// New builds a server around a constructed pipeline and its corpus.
+// New builds a server around a constructed pipeline and its corpus. The
+// server owns a metrics registry (see Registry): every route records
+// per-status request counts and a latency histogram, and GET /v1/metrics
+// serves it in Prometheus text format.
 func New(p *core.Pipeline, c *spider.Corpus, opts ...Option) *Server {
+	reg := metrics.NewRegistry()
 	s := &Server{
 		pipeline: p, corpus: c, byDB: map[string][]*spider.Example{},
-		workers: 4, maxBatch: defaultMaxBatch,
+		reg:      reg,
+		inflight: reg.Gauge("http_inflight_requests", "HTTP requests currently being served."),
+		workers:  4,
 		resCache: map[string][]BatchItem{},
 	}
 	for _, e := range c.Dev.Examples {
@@ -160,26 +142,26 @@ func New(p *core.Pipeline, c *spider.Corpus, opts ...Option) *Server {
 			s.resMu.Unlock()
 		})
 	}
-	if s.metrics != nil {
-		// Subsystem counters are exported by scrape-time collectors: the
-		// owning packages keep their existing atomic counters and contribute
-		// samples only when /v1/metrics is scraped.
-		if s.cache != nil {
-			s.cache.Instrument(s.metrics.reg, "llm")
-		}
-		sqlexec.Shared.Instrument(s.metrics.reg, "shared")
-		if s.jobs != nil {
-			s.jobs.Instrument(s.metrics.reg)
-		}
-		if s.catalog != nil {
-			s.catalog.Instrument(s.metrics.reg)
-		}
-		if s.fault != nil {
-			s.fault.Instrument(s.metrics.reg)
-		}
+	// Subsystem counters are exported by scrape-time collectors: the owning
+	// packages keep their existing atomic counters and contribute samples
+	// only when /v1/metrics is scraped.
+	sqlexec.Shared.Instrument(reg, "shared")
+	if s.jobs != nil {
+		s.jobs.Instrument(reg)
+	}
+	if s.catalog != nil {
+		s.catalog.Instrument(reg)
+	}
+	if s.fault != nil {
+		s.fault.Instrument(reg)
 	}
 	return s
 }
+
+// Registry exposes the server's metrics registry, so the caller can register
+// what the server does not own — process gauges, the pipeline's LLM cache —
+// on the same /v1/metrics exposition.
+func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Jobs exposes the job manager (nil unless WithJobs was passed).
 func (s *Server) Jobs() *jobs.Manager { return s.jobs }
@@ -199,9 +181,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // method guards enforced by the mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// handle wraps every route in the metrics middleware (a no-op when
-	// metrics are disabled); the registered pattern doubles as the route
-	// label, keeping label cardinality bounded by the route table.
+	// handle wraps every route in the metrics and tracing middleware; the
+	// registered pattern doubles as the route label, keeping label
+	// cardinality bounded by the route table.
 	handle := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, s.instrument(pattern, h))
 	}
@@ -209,12 +191,9 @@ func (s *Server) Handler() http.Handler {
 	handle("POST /v1/translate", s.handleTranslate)
 	handle("POST /v1/execute", s.handleExecute)
 	handle("POST /v1/batch", s.handleBatch)
-	handle("GET /v1/stats", s.handleStats)
-	if s.metrics != nil {
-		handle("GET /v1/metrics", s.handleMetrics)
-	}
+	handle("GET /v1/metrics", s.reg.ServeHTTP)
 	if s.tracer != nil {
-		handle("GET /v1/traces", s.handleTraces)
+		handle("GET /v1/traces", s.tracer.ServeList)
 		handle("GET /v1/traces/{id}", s.handleTraceGet)
 	}
 	if s.catalog != nil {
@@ -424,7 +403,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "questions is empty", http.StatusBadRequest)
 			return
 		}
-		if len(req.Questions) > s.maxBatch {
+		if len(req.Questions) > maxBatch {
 			http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
 			return
 		}
@@ -451,7 +430,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "task_ids is empty", http.StatusBadRequest)
 		return
 	}
-	if len(req.TaskIDs) > s.maxBatch {
+	if len(req.TaskIDs) > maxBatch {
 		http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
 		return
 	}
@@ -494,52 +473,6 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, tr core.Transl
 			DemosUsed:  res.DemosUsed,
 		})
 	}
-	writeJSON(w, out)
-}
-
-// StatsResponse reports LLM-cache observability counters (the embedded
-// llm.CacheStats fields flatten into the JSON object), the SQL engine's
-// plan-cache counters, plus, when the job subsystem is enabled, its
-// queue/lifecycle counters.
-type StatsResponse struct {
-	CacheEnabled bool `json:"cache_enabled"`
-	llm.CacheStats
-	HitRate float64 `json:"hit_rate"`
-	// PlanCache counts prepared-statement cache hits and misses across
-	// every execution path that uses the shared cache: the EX/TS metrics,
-	// the consistency vote, and /execute.
-	PlanCache        sqlexec.PlanCacheStats `json:"plan_cache"`
-	PlanCacheHitRate float64                `json:"plan_cache_hit_rate"`
-	JobsEnabled      bool                   `json:"jobs_enabled"`
-	Jobs             *jobs.Counters         `json:"jobs,omitempty"`
-	// Catalog carries the multi-tenant registry's catalog-wide and
-	// per-tenant counters when the subsystem is enabled.
-	Catalog *catalog.Stats `json:"catalog,omitempty"`
-	// TraceExemplars links each route's latency histogram to its slowest
-	// recently-captured trace — the handle to pull from /v1/traces/{id}.
-	TraceExemplars map[string]trace.Exemplar `json:"trace_exemplars,omitempty"`
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	var out StatsResponse
-	if s.cache != nil {
-		st := s.cache.Stats()
-		out.CacheEnabled = true
-		out.CacheStats = st
-		out.HitRate = st.HitRate()
-	}
-	out.PlanCache = sqlexec.Shared.Stats()
-	out.PlanCacheHitRate = out.PlanCache.HitRate()
-	if s.jobs != nil {
-		c := s.jobs.Stats()
-		out.JobsEnabled = true
-		out.Jobs = &c
-	}
-	if s.catalog != nil {
-		cs := s.catalog.Stats()
-		out.Catalog = &cs
-	}
-	out.TraceExemplars = s.tracer.Exemplars()
 	writeJSON(w, out)
 }
 

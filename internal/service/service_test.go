@@ -144,7 +144,9 @@ func cachedTestServer(t *testing.T) (*httptest.Server, *spider.Corpus, *llm.Cach
 	cfg.Consistency = 5
 	cache := llm.NewCache(llm.NewSim(llm.ChatGPT), 1024)
 	p := core.New(c.Train.Examples, cache, cfg)
-	srv := httptest.NewServer(New(p, c, WithCache(cache), WithWorkers(4)).Handler())
+	s := New(p, c, WithWorkers(4))
+	cache.Instrument(s.Registry(), "llm")
+	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	return srv, c, cache
 }
@@ -207,29 +209,20 @@ func TestStatsEndpoint(t *testing.T) {
 	// must hit the cache.
 	postJSON(t, srv.URL+"/v1/batch", BatchRequest{TaskIDs: []int{0, 1}}, nil)
 	postJSON(t, srv.URL+"/v1/batch", BatchRequest{TaskIDs: []int{0, 1}}, nil)
-	resp, err := http.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	samples, body := scrape(t, srv.URL)
+	hits, hasHits := samples[`llm_cache_hits_total{cache="llm"}`]
+	misses := samples[`llm_cache_misses_total{cache="llm"}`]
+	if !hasHits {
+		t.Fatalf("instrumented cache missing from the exposition:\n%s", body)
 	}
-	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.CacheEnabled {
-		t.Fatal("cache not reported as enabled")
-	}
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("expected hits and misses after repeated batch: %+v", st)
-	}
-	if st.HitRate <= 0 {
-		t.Errorf("hit rate should be positive: %+v", st)
+	if hits == 0 || misses == 0 {
+		t.Errorf("expected hits and misses after repeated batch: hits=%g misses=%g", hits, misses)
 	}
 }
 
 // TestStatsPlanCacheCounters: repeated /execute of the same SQL must raise
 // the shared plan cache's hit counter, and the counters must surface on
-// /v1/stats. Deltas are asserted because sqlexec.Shared is process-wide.
+// /v1/metrics. Deltas are asserted because sqlexec.Shared is process-wide.
 func TestStatsPlanCacheCounters(t *testing.T) {
 	srv, c := testServer(t)
 	before := sqlexec.Shared.Stats()
@@ -242,41 +235,41 @@ func TestStatsPlanCacheCounters(t *testing.T) {
 	if out.Error != "" {
 		t.Fatalf("execute error: %s", out.Error)
 	}
-	resp, err := http.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	samples, _ := scrape(t, srv.URL)
+	hits := samples[`plan_cache_hits_total{cache="shared"}`]
+	misses := samples[`plan_cache_misses_total{cache="shared"}`]
 	// The second identical /execute is necessarily a hit (the first may
 	// also hit: the shared cache spans the whole process).
-	if st.PlanCache.Hits < before.Hits+1 {
-		t.Errorf("second /execute should hit the plan cache: before %+v after %+v", before, st.PlanCache)
+	if hits < float64(before.Hits+1) {
+		t.Errorf("second /execute should hit the plan cache: before %+v after hits=%g", before, hits)
 	}
-	if st.PlanCache.Hits+st.PlanCache.Misses < before.Hits+before.Misses+2 {
-		t.Errorf("both /execute calls should be counted: before %+v after %+v", before, st.PlanCache)
+	if hits+misses < float64(before.Hits+before.Misses+2) {
+		t.Errorf("both /execute calls should be counted: before %+v after hits=%g misses=%g", before, hits, misses)
 	}
-	if st.PlanCache.Capacity <= 0 {
-		t.Errorf("plan cache capacity missing from stats: %+v", st.PlanCache)
+	if samples[`plan_cache_capacity{cache="shared"}`] <= 0 {
+		t.Error("plan cache capacity missing from the exposition")
 	}
 }
 
-func TestStatsEndpointWithoutCache(t *testing.T) {
+// TestMetricsWithoutCache: /v1/metrics is the only counter surface — the
+// retired JSON stats route answers 404 — and a server whose caller
+// instruments no LLM cache exports no llm_cache_* series.
+func TestMetricsWithoutCache(t *testing.T) {
 	srv, _ := testServer(t)
-	resp, err := http.Get(srv.URL + "/v1/stats")
+	const retired = "/v1/stats"
+	resp, err := http.Get(srv.URL + retired)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET %s = %d, want 404", retired, resp.StatusCode)
 	}
-	if st.CacheEnabled {
-		t.Errorf("cache should be reported disabled: %+v", st)
+	samples, body := scrape(t, srv.URL)
+	for key := range samples {
+		if strings.HasPrefix(key, "llm_cache_") {
+			t.Errorf("uninstrumented cache exported %s:\n%s", key, body)
+		}
 	}
 }
 
@@ -319,7 +312,7 @@ func TestMethodNotAllowedEverywhere(t *testing.T) {
 		{http.MethodGet, "/v1/translate"},
 		{http.MethodGet, "/v1/execute"},
 		{http.MethodGet, "/v1/batch"},
-		{http.MethodPost, "/v1/stats"},
+		{http.MethodPost, "/v1/metrics"},
 	}
 	for _, c := range cases {
 		req, err := http.NewRequest(c.method, srv.URL+c.path, nil)
@@ -337,22 +330,26 @@ func TestMethodNotAllowedEverywhere(t *testing.T) {
 	}
 }
 
-// TestBatchOversized: a batch beyond the configured cap is rejected with
-// 413 before any translation work starts.
+// TestBatchOversized: a batch beyond the cap is rejected with 413 before any
+// translation work starts. IDs out of range make the at-cap batch cheap: it
+// passes the size check and fails the lookup with 404.
 func TestBatchOversized(t *testing.T) {
-	c := spider.GenerateSmall(13, 0.05)
-	cfg := core.DefaultConfig()
-	cfg.Consistency = 5
-	p := core.New(c.Train.Examples, llm.NewSim(llm.ChatGPT), cfg)
-	srv := httptest.NewServer(New(p, c, WithMaxBatch(3)).Handler())
-	t.Cleanup(srv.Close)
-	resp := postJSON(t, srv.URL+"/v1/batch", BatchRequest{TaskIDs: []int{0, 1, 0, 1}}, nil)
+	srv, _ := testServer(t)
+	resp := postJSON(t, srv.URL+"/v1/batch", BatchRequest{TaskIDs: outOfRangeIDs(maxBatch + 1)}, nil)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized batch: %d, want 413", resp.StatusCode)
 	}
-	var out BatchResponse
-	postJSON(t, srv.URL+"/v1/batch", BatchRequest{TaskIDs: []int{0, 1, 0}}, &out)
-	if len(out.Results) != 3 {
-		t.Errorf("at-cap batch rejected: %+v", out)
+	resp = postJSON(t, srv.URL+"/v1/batch", BatchRequest{TaskIDs: outOfRangeIDs(maxBatch)}, nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("at-cap batch: %d, want 404 from the task lookup", resp.StatusCode)
 	}
+}
+
+// outOfRangeIDs returns n task IDs no corpus holds.
+func outOfRangeIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = 999999
+	}
+	return ids
 }

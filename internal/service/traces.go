@@ -6,26 +6,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TraceListResponse wraps GET /v1/traces: newest-first summaries, retained
-// (slow/error) traces listed ahead of the recent ring.
-type TraceListResponse struct {
-	Service string          `json:"service,omitempty"`
-	Traces  []trace.Summary `json:"traces"`
-}
-
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	f, err := trace.FilterFromQuery(r.URL.Query())
-	if err != nil {
-		http.Error(w, "bad filter: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	out := TraceListResponse{Service: s.tracer.Service(), Traces: s.tracer.Traces(f)}
-	if out.Traces == nil {
-		out.Traces = []trace.Summary{}
-	}
-	writeJSON(w, out)
-}
-
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	id, ok := trace.ParseTraceID(r.PathValue("id"))
 	if !ok {

@@ -59,14 +59,14 @@ func (s *Stmt) Exec(db *schema.Database) (*Result, error) {
 	return s.root.run(db)
 }
 
-// PlanCacheStats are the plan cache's observability counters, exposed via
-// the service's /v1/stats endpoint.
+// PlanCacheStats are the plan cache's observability counters, exported on
+// /v1/metrics as plan_cache_*.
 type PlanCacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Size      int    `json:"size"`
-	Capacity  int    `json:"capacity"`
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
+	Size      int
+	Capacity  int
 }
 
 // HitRate returns hits/(hits+misses), or 0 before any lookup.
@@ -113,7 +113,7 @@ func NewPlanCache(capacity int) *PlanCache {
 // Shared is the process-wide plan cache used by the repeat-execution call
 // sites: the EX/TS metrics in internal/eval, the consistency vote in
 // internal/adaption, and the service's /execute endpoint. Its counters are
-// reported on /v1/stats.
+// exported on /v1/metrics as plan_cache_*{cache="shared"}.
 var Shared = NewPlanCache(512)
 
 // Prepare returns a cached statement for (db's schema, sql), compiling and

@@ -130,24 +130,24 @@ func (t *TenantSnapshot) HasModels() bool {
 	return len(t.Classifier) > 0 && len(t.Predictor) > 0
 }
 
-// Stats is the store's observability snapshot, surfaced on /v1/stats and
-// /v1/metrics.
+// Stats is the store's observability snapshot, exported on /v1/metrics as
+// store_*.
 type Stats struct {
-	Loads        int64   `json:"loads"`
-	LoadFailures int64   `json:"load_failures"`
-	Saves        int64   `json:"saves"`
-	SaveFailures int64   `json:"save_failures"`
-	Deletes      int64   `json:"deletes"`
-	BytesLoaded  int64   `json:"bytes_loaded"`
-	BytesSaved   int64   `json:"bytes_saved"`
-	WALAppends   int64   `json:"wal_appends"`
-	WALSyncs     int64   `json:"wal_syncs"`
-	WALReplayed  int64   `json:"wal_records_replayed"`
-	Compactions  int64   `json:"compactions"`
-	Recovered    int64   `json:"recovered_tenants"`
-	RecoveryMs   float64 `json:"recovery_ms"`
-	Snapshots    int64   `json:"snapshot_files"`
-	SnapshotB    int64   `json:"snapshot_bytes"`
+	Loads        int64
+	LoadFailures int64
+	Saves        int64
+	SaveFailures int64
+	Deletes      int64
+	BytesLoaded  int64
+	BytesSaved   int64
+	WALAppends   int64
+	WALSyncs     int64
+	WALReplayed  int64
+	Compactions  int64
+	Recovered    int64
+	RecoveryMs   float64
+	Snapshots    int64
+	SnapshotB    int64
 }
 
 type snapMeta struct {

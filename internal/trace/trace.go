@@ -277,16 +277,12 @@ func (s *Span) FinishAt(end time.Time) {
 	if s.root && !rec.finalized {
 		rec.duration = data.Duration
 		rec.finalized = true
-		slow := rec.tracer.isSlow(rec.duration)
-		err := rec.err
-		route := rec.route
-		dur := rec.duration
-		if err || slow {
+		if rec.err || rec.tracer.isSlow(rec.duration) {
 			rec.retained = true
 		}
 		retain := rec.retained
 		rec.mu.Unlock()
-		rec.tracer.capture(rec, retain, route, dur)
+		rec.tracer.capture(rec, retain)
 		return
 	}
 	// A late span (async job finishing after the HTTP root returned) can
@@ -357,19 +353,7 @@ type Tracer struct {
 	slow     time.Duration
 	recent   ring
 	retained ring
-
-	mu        sync.Mutex
-	exemplars map[string]exemplar // route -> slowest recent trace
 }
-
-type exemplar struct {
-	id  TraceID
-	dur time.Duration
-}
-
-// maxExemplarRoutes bounds the exemplar map against unbounded route
-// cardinality (the router keys by raw path).
-const maxExemplarRoutes = 128
 
 // New returns a Tracer for the given config.
 func New(cfg Config) *Tracer {
@@ -386,12 +370,11 @@ func New(cfg Config) *Tracer {
 		cfg.Sample = 1
 	}
 	return &Tracer{
-		service:   cfg.Service,
-		sample:    cfg.Sample,
-		slow:      cfg.Slow,
-		recent:    ring{buf: make([]*traceRec, cfg.RecentCap)},
-		retained:  ring{buf: make([]*traceRec, cfg.RetainedCap)},
-		exemplars: make(map[string]exemplar),
+		service:  cfg.Service,
+		sample:   cfg.Sample,
+		slow:     cfg.Slow,
+		recent:   ring{buf: make([]*traceRec, cfg.RecentCap)},
+		retained: ring{buf: make([]*traceRec, cfg.RetainedCap)},
 	}
 }
 
@@ -431,51 +414,20 @@ func (t *Tracer) StartRoot(ctx context.Context, name string, parent SpanContext)
 	return context.WithValue(ctx, ctxKey{}, sp), sp
 }
 
-// capture files a finalized trace into the rings and updates the per-route
-// slow-trace exemplar.
-func (t *Tracer) capture(rec *traceRec, retain bool, route string, dur time.Duration) {
+// capture files a finalized trace into the rings.
+func (t *Tracer) capture(rec *traceRec, retain bool) {
 	t.recent.add(rec)
 	if retain {
 		t.retained.add(rec)
 	}
-	if route == "" {
-		return
-	}
-	t.mu.Lock()
-	ex, ok := t.exemplars[route]
-	if ok || len(t.exemplars) < maxExemplarRoutes {
-		if !ok || dur > ex.dur {
-			t.exemplars[route] = exemplar{id: rec.id, dur: dur}
-		}
-	}
-	t.mu.Unlock()
 }
 
 func (t *Tracer) retainLate(rec *traceRec) { t.retained.add(rec) }
 
-// Exemplar is the slowest recent trace observed for a route — a direct link
-// from an aggregate histogram to one concrete request worth pulling from
-// /v1/traces/{id}.
-type Exemplar struct {
-	TraceID    string  `json:"trace_id"`
-	DurationMs float64 `json:"duration_ms"`
-}
-
-// Exemplars returns the per-route slowest-trace links for /v1/stats.
-func (t *Tracer) Exemplars() map[string]Exemplar {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.exemplars) == 0 {
-		return nil
-	}
-	out := make(map[string]Exemplar, len(t.exemplars))
-	for route, ex := range t.exemplars {
-		out[route] = Exemplar{TraceID: ex.id.String(), DurationMs: float64(ex.dur) / 1e6}
-	}
-	return out
+// held returns every record the rings still hold, retained ring first and
+// each newest-first; a record in both rings appears twice.
+func (t *Tracer) held() []*traceRec {
+	return append(t.retained.snapshot(), t.recent.snapshot()...)
 }
 
 // ring is a fixed-size overwrite-oldest buffer of trace records.

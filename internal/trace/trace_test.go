@@ -205,6 +205,35 @@ func TestFilters(t *testing.T) {
 	}
 }
 
+// TestExemplarsResolve: an exemplar is the slowest trace per route that the
+// rings still hold, so it resolves on Trace even after a slower trace on the
+// same route has been evicted.
+func TestExemplarsResolve(t *testing.T) {
+	tr := New(Config{Sample: 1, RecentCap: 2}) // Slow 0: nothing is retained
+	finish := func(d time.Duration) TraceID {
+		_, sp := tr.StartRoot(context.Background(), "op", SpanContext{})
+		sp.SetRoute("GET /x")
+		sp.FinishAt(sp.start.Add(d))
+		return sp.rec.id
+	}
+	slow := finish(80 * time.Millisecond)
+	held := map[string]bool{finish(time.Millisecond).String(): true, finish(time.Millisecond).String(): true}
+	if _, ok := tr.Trace(slow); ok {
+		t.Fatal("the 80ms trace survived a full recent-ring churn")
+	}
+	ex, ok := tr.Exemplars()["GET /x"]
+	if !ok {
+		t.Fatal("no exemplar for the route")
+	}
+	id, _ := ParseTraceID(ex.TraceID)
+	if _, ok := tr.Trace(id); !ok {
+		t.Fatalf("exemplar %s (%.0fms) does not resolve", ex.TraceID, ex.DurationMs)
+	}
+	if !held[ex.TraceID] || ex.DurationMs != 1 {
+		t.Errorf("exemplar = %+v, want one of the two held 1ms traces", ex)
+	}
+}
+
 func TestTraceparentRoundTrip(t *testing.T) {
 	sc := NewSpanContext(true)
 	got, ok := ParseTraceparent(sc.Header())

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
@@ -193,7 +195,7 @@ func (t *Tracer) Traces(f Filter) []Summary {
 	}
 	seen := make(map[TraceID]bool)
 	var out []Summary
-	for _, rec := range append(t.retained.snapshot(), t.recent.snapshot()...) {
+	for _, rec := range t.held() {
 		if rec == nil || seen[rec.id] {
 			continue
 		}
@@ -224,12 +226,66 @@ func (t *Tracer) Trace(id TraceID) (TraceJSON, bool) {
 	if t == nil {
 		return TraceJSON{}, false
 	}
-	for _, rec := range append(t.retained.snapshot(), t.recent.snapshot()...) {
+	for _, rec := range t.held() {
 		if rec != nil && rec.id == id {
 			return rec.export(t.service), true
 		}
 	}
 	return TraceJSON{}, false
+}
+
+// Exemplar links a route's latency to one concrete request worth pulling
+// from /v1/traces/{id}: the slowest trace on that route the rings still hold.
+type Exemplar struct {
+	TraceID    string  `json:"trace_id"`
+	DurationMs float64 `json:"duration_ms"`
+}
+
+// Exemplars returns the per-route slowest held trace. It is computed at read
+// time from the rings, so every exemplar resolves on Trace until the rings
+// churn past it, and the route set is bounded by the ring capacity.
+func (t *Tracer) Exemplars() map[string]Exemplar {
+	if t == nil {
+		return nil
+	}
+	out := map[string]Exemplar{}
+	for _, rec := range t.held() {
+		s := rec.summary()
+		if s.Route == "" {
+			continue
+		}
+		if ex, ok := out[s.Route]; !ok || s.DurationMs > ex.DurationMs {
+			out[s.Route] = Exemplar{TraceID: s.TraceID, DurationMs: s.DurationMs}
+		}
+	}
+	return out
+}
+
+// ListResponse is the GET /v1/traces body: filtered newest-first summaries,
+// retained (slow/error) traces ahead of the recent ring, plus the unfiltered
+// per-route exemplars.
+type ListResponse struct {
+	Service   string              `json:"service"`
+	Traces    []Summary           `json:"traces"`
+	Exemplars map[string]Exemplar `json:"exemplars"`
+}
+
+// ServeList is the GET /v1/traces handler shared by shard and router. The
+// query string takes the FilterFromQuery dialect; a malformed filter is a
+// 400. Listing is local to the process: the router samples every request it
+// proxies, so its list indexes the topology, and the by-ID lookup fans out.
+func (t *Tracer) ServeList(w http.ResponseWriter, r *http.Request) {
+	f, err := FilterFromQuery(r.URL.Query())
+	if err != nil {
+		http.Error(w, "bad filter: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	out := ListResponse{Service: t.Service(), Traces: t.Traces(f), Exemplars: t.Exemplars()}
+	if out.Traces == nil {
+		out.Traces = []Summary{}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(out)
 }
 
 // Service returns the tracer's configured service name ("" for nil).
