@@ -49,6 +49,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/exp"
+	"repro/internal/jobs"
 	"repro/internal/llm"
 	"repro/internal/prompt"
 	"repro/internal/router"
@@ -256,12 +257,14 @@ func runCatalogBenchmarks() error {
 		return out
 	}()
 	newCatalog := func(b *testing.B) *catalog.Catalog {
+		// A build manager large enough that no measured registration hits
+		// ErrBusy; it drains after the catalog closes.
+		builds := jobs.NewManager(nil, jobs.Config{Runners: 8, Queue: 1 << 20, TTL: time.Minute})
 		c, err := catalog.New(catalog.Config{
-			Client:       llm.NewSim(llm.ChatGPT),
-			Fallback:     fallback,
-			MaxTenants:   1 << 20,
-			BuildQueue:   1 << 20,
-			BuildRunners: 8,
+			Client:     llm.NewSim(llm.ChatGPT),
+			Fallback:   fallback,
+			MaxTenants: 1 << 20,
+			Jobs:       builds,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -270,6 +273,7 @@ func runCatalogBenchmarks() error {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
 			c.Close(ctx)
+			builds.Shutdown(ctx)
 		})
 		return c
 	}

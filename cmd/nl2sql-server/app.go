@@ -49,8 +49,6 @@ type appConfig struct {
 	// to a WAL and tenant snapshots persist under this directory, so a
 	// restart recovers every registered tenant without re-training.
 	DataDir string
-	// WALSync is the WAL durability mode: always, interval, or never.
-	WALSync string
 	// TenantMemBudget bounds resident store-backed tenant bytes (0 = off).
 	TenantMemBudget int64
 	Pprof           bool
@@ -64,7 +62,6 @@ type appConfig struct {
 	Shards        string // comma-separated shard host:port addresses
 	ProbeInterval time.Duration
 	HedgeAfter    time.Duration
-	Retries       int
 	// TraceSample is the head-sampling probability (negative disables the
 	// tracer entirely); TraceSlow is the tail-retention threshold — traces
 	// at least this slow survive ring churn alongside error traces.
@@ -190,11 +187,7 @@ func newApp(cfg appConfig) (*app, error) {
 			return nil, err
 		}
 		if cfg.DataDir != "" {
-			mode, err := store.ParseSyncMode(cfg.WALSync)
-			if err != nil {
-				return nil, err
-			}
-			st, err = store.Open(cfg.DataDir, store.Options{Sync: mode, Instance: storeInstance(cfg.ShardID)})
+			st, err = store.Open(cfg.DataDir, store.Options{Instance: storeInstance(cfg.ShardID)})
 			if err != nil {
 				return nil, err
 			}
@@ -285,7 +278,6 @@ func newRouterApp(cfg appConfig) (*app, error) {
 		Shards:        shards,
 		ProbeInterval: cfg.ProbeInterval,
 		HedgeAfter:    cfg.HedgeAfter,
-		Retries:       cfg.Retries,
 		Tracer:        newTracer(cfg, "router"),
 	})
 	if err != nil {

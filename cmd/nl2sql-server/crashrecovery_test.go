@@ -56,7 +56,6 @@ func TestCrashRecovery(t *testing.T) {
 		cmd := exec.Command(bin,
 			"-addr", "127.0.0.1:0",
 			"-data-dir", dataDir,
-			"-wal-sync", "always",
 			"-scale", "0.02",
 			"-bootstrap-seeds", "1", // single seed: fast boot, deterministic fallback
 			"-max-tenants", "8",

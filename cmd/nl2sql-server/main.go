@@ -69,8 +69,7 @@ func main() {
 	flag.IntVar(&cfg.MaxTenants, "max-tenants", 64, "registered-database cap; past it the least-recently-used tenant is evicted (0 disables the catalog)")
 	flag.DurationVar(&cfg.TenantIdleTTL, "tenant-idle-ttl", 0, "evict tenants unused for this long (0 disables idle eviction)")
 	flag.StringVar(&cfg.BootstrapSeeds, "bootstrap-seeds", "1,2", "comma-separated corpus seeds whose training splits train the catalog's shared warming models")
-	flag.StringVar(&cfg.DataDir, "data-dir", "", "directory for durable tenant state (WAL + snapshots); empty keeps the catalog memory-only")
-	flag.StringVar(&cfg.WALSync, "wal-sync", "always", "WAL durability: always (fsync per append), interval (batched), never (OS-buffered)")
+	flag.StringVar(&cfg.DataDir, "data-dir", "", "directory for durable tenant state (WAL fsynced per append + snapshots); empty keeps the catalog memory-only")
 	flag.Int64Var(&cfg.TenantMemBudget, "tenant-mem-budget", 0, "resident-bytes budget for store-backed tenants (snapshot-size proxy); past it idle ready tenants unload to stubs (0 = unlimited)")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "mount net/http/pprof debug endpoints under /debug/pprof/")
 	flag.StringVar(&cfg.ShardID, "shard-id", "", "shard identity stamped on responses (X-NL2SQL-Shard) and naming this instance's WAL in a shared -data-dir; use the advertised host:port for sticky routing")
@@ -78,7 +77,6 @@ func main() {
 	flag.StringVar(&cfg.Shards, "shards", "", "comma-separated shard addresses (host:port) the router proxies to")
 	flag.DurationVar(&cfg.ProbeInterval, "replication-probe-interval", time.Second, "router health-probe cadence; a shard is ejected after 2 failed probes and readmitted after 1 pass")
 	flag.DurationVar(&cfg.HedgeAfter, "hedge-after", 0, "router tail-hedging delay before duplicating a read to the replica successor (0 adapts to the observed p95, negative disables)")
-	flag.IntVar(&cfg.Retries, "retries", 2, "router retry budget: extra attempts against other shards after a transport error (negative disables)")
 	flag.Float64Var(&cfg.TraceSample, "trace-sample", 1, "head-sampling probability for request traces (1 traces every request, 0 only requests arriving with a sampled traceparent, negative disables tracing entirely)")
 	flag.DurationVar(&cfg.TraceSlow, "trace-slow", 250*time.Millisecond, "requests slower than this are retained in the slow-trace ring regardless of churn (error traces always are)")
 	flag.BoolVar(&cfg.LLMFault, "llm-fault", false, "enable the LLM fault-injection layer and its /v1/faults control endpoint; brownout windows are opened via POST /v1/faults (chaos/soak testing)")

@@ -56,7 +56,6 @@ func startShard(t *testing.T, dir, addr string) *shardProc {
 		MaxTenants:     16,
 		BootstrapSeeds: "1",
 		DataDir:        dir,
-		WALSync:        "never",
 		ShardID:        addr,
 	})
 	if err != nil {
@@ -402,11 +401,15 @@ func waitHealthy(t *testing.T, c *topoClient, want int) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		var st struct {
-			HealthyShards int `json:"healthy_shards"`
-		}
+		var st router.Status
 		c.get("/v1/router", &st)
-		if st.HealthyShards == want {
+		n := 0
+		for _, s := range st.Shards {
+			if s.Healthy {
+				n++
+			}
+		}
+		if n == want {
 			return
 		}
 		time.Sleep(50 * time.Millisecond)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/llm"
 )
 
@@ -27,14 +28,26 @@ func benchConfig() Config {
 	return Config{Client: llm.NewSim(llm.ChatGPT), Fallback: testFallback()}
 }
 
+// roomyBuilds is a build manager large enough that no measured registration
+// hits ErrBusy. Pass it before benchCatalog so it shuts down after the
+// catalog closes.
+func roomyBuilds(b *testing.B) *jobs.Manager {
+	m := jobs.NewManager(nil, jobs.Config{Runners: 8, Queue: 1 << 20, TTL: time.Minute})
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		m.Shutdown(ctx)
+	})
+	return m
+}
+
 // BenchmarkRegister measures the synchronous registration cost: validation,
 // demo parsing, and warming-snapshot construction (the async model build is
 // excluded by design — that is the point of the warming state).
 func BenchmarkRegister(b *testing.B) {
 	cfg := benchConfig()
 	cfg.MaxTenants = 1 << 20 // no eviction churn in the measurement
-	cfg.BuildQueue = 1 << 20
-	cfg.BuildRunners = 8
+	cfg.Jobs = roomyBuilds(b)
 	c := benchCatalog(b, cfg)
 	demos := shopDemos()
 	b.ReportAllocs()
@@ -50,8 +63,7 @@ func BenchmarkRegister(b *testing.B) {
 // fingerprint invalidation and RCU publish over an existing tenant.
 func BenchmarkReregisterSwap(b *testing.B) {
 	cfg := benchConfig()
-	cfg.BuildQueue = 1 << 20
-	cfg.BuildRunners = 8
+	cfg.Jobs = roomyBuilds(b)
 	c := benchCatalog(b, cfg)
 	demos := shopDemos()
 	if _, err := c.Register(Registration{DB: shopDB("swap"), Demos: demos}); err != nil {
@@ -74,8 +86,7 @@ func BenchmarkReregisterSwap(b *testing.B) {
 func BenchmarkRegisterStorm(b *testing.B) {
 	cfg := benchConfig()
 	cfg.MaxTenants = 64
-	cfg.BuildQueue = 1 << 20
-	cfg.BuildRunners = 8
+	cfg.Jobs = roomyBuilds(b)
 	c := benchCatalog(b, cfg)
 	demos := shopDemos()
 	// Pre-fill to the cap so each measured register evicts.

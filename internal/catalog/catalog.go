@@ -76,7 +76,7 @@ func NewFallback(train []*spider.Example) *Fallback {
 // Config parameterizes a Catalog. Client and Fallback are required.
 type Config struct {
 	// Client is the base LLM backend shared by every tenant (each tenant
-	// wraps it in its own cache when CacheCap > 0).
+	// wraps it in its own 1,024-entry cache).
 	Client llm.Client
 	// Fallback supplies the shared warming models.
 	Fallback *Fallback
@@ -88,18 +88,9 @@ type Config struct {
 	MaxTenants int
 	// IdleTTL evicts tenants unused for this long (0 disables the janitor).
 	IdleTTL time.Duration
-	// CacheCap is the per-tenant LLM cache capacity in entries (default
-	// 1024; negative disables caching).
-	CacheCap int
-	// PlanCacheCap is the per-tenant prepared-statement cache capacity
-	// (default 128).
-	PlanCacheCap int
-	// BuildRunners and BuildQueue size the owned async-build manager
-	// (defaults 2 and 64). Ignored when Jobs is set.
-	BuildRunners, BuildQueue int
 	// Jobs, when non-nil, is an external jobs manager the catalog submits
-	// its builds to instead of owning one. The caller keeps responsibility
-	// for its lifecycle.
+	// its builds to instead of owning one (2 runners, a queue of 64). The
+	// caller keeps responsibility for its lifecycle.
 	Jobs *jobs.Manager
 	// Store, when non-nil, makes tenant state durable: every mutation is
 	// written to the store's WAL, registrations and completed builds persist
@@ -114,21 +105,19 @@ type Config struct {
 	MemoryBudget int64
 }
 
+// Per-tenant cache capacities: LLM cache entries and prepared statements.
+const (
+	tenantCacheEntries = 1024
+	tenantPlanEntries  = 128
+)
+
 func (c Config) withDefaults() Config {
 	if c.MaxTenants <= 0 {
 		c.MaxTenants = 64
 	}
-	if c.CacheCap == 0 {
-		c.CacheCap = 1024
-	}
-	if c.PlanCacheCap <= 0 {
-		c.PlanCacheCap = 128
-	}
-	if c.BuildRunners <= 0 {
-		c.BuildRunners = 2
-	}
-	if c.BuildQueue <= 0 {
-		c.BuildQueue = 64
+	if c.Pipeline == nil {
+		p := core.DefaultConfig()
+		c.Pipeline = &p
 	}
 	return c
 }
@@ -183,8 +172,8 @@ type TenantStats struct {
 	// TranslateSeconds is the summed translation latency; divided by
 	// Translations it is the mean.
 	TranslateSeconds float64
-	// LLM cache counters for the tenant's current snapshot (zero when
-	// caching is disabled).
+	// LLM cache counters for the tenant's current snapshot (zero for a
+	// stored stub).
 	CacheHits   int64
 	CacheMisses int64
 	// Plan cache counters for the tenant's prepared-statement cache.
@@ -274,11 +263,7 @@ func New(cfg Config) (*Catalog, error) {
 		// The build manager reuses the jobs subsystem's admission queue,
 		// runner pool and drain; builds are Run-style jobs, so no
 		// translator is needed.
-		c.builds = jobs.NewManager(nil, jobs.Config{
-			Runners: cfg.BuildRunners,
-			Queue:   cfg.BuildQueue,
-			TTL:     time.Minute,
-		})
+		c.builds = jobs.NewManager(nil, jobs.Config{Runners: 2, Queue: 64, TTL: time.Minute})
 		c.ownsBuild = true
 	}
 	if cfg.Store != nil {
@@ -355,27 +340,14 @@ func (c *Catalog) register(reg Registration, replace bool) (*Snapshot, error) {
 	// tenant's demos with the shared fallback models. This is the cheap
 	// part — hierarchy construction and demo rendering scale with the demo
 	// pool, not the bootstrap corpus.
-	client := c.cfg.Client
-	var cache *llm.Cache
-	if c.cfg.CacheCap > 0 {
-		cache = llm.NewCache(client, c.cfg.CacheCap)
-		client = cache
-	}
-	pcfg := core.DefaultConfig()
-	if c.cfg.Pipeline != nil {
-		pcfg = *c.cfg.Pipeline
-	}
-	warming := &Snapshot{
+	warming := c.resident(&Snapshot{
 		Name:        reg.DB.Name,
 		State:       StateWarming,
 		Fingerprint: reg.DB.Fingerprint(),
 		DB:          reg.DB,
 		Demos:       demos,
-		Pipeline:    core.NewWithModels(demos, client, pcfg, c.cfg.Fallback.Clf, c.cfg.Fallback.Pred),
-		Cache:       cache,
-		Plans:       sqlexec.NewPlanCache(c.cfg.PlanCacheCap),
 		Registered:  c.now(),
-	}
+	}, c.cfg.Fallback.Clf, c.cfg.Fallback.Pred)
 
 	c.mu.Lock()
 	if c.closed {
@@ -405,7 +377,7 @@ func (c *Catalog) register(reg Registration, replace bool) (*Snapshot, error) {
 	// models could never train must not half-exist.
 	buildReq := jobs.Request{
 		Label: "catalog-build " + key + " v" + fmt.Sprint(version),
-		Run:   c.buildFn(t, gen, warming, client, pcfg),
+		Run:   c.buildFn(t, gen, warming),
 	}
 	if _, err := c.builds.Submit(buildReq); err != nil {
 		c.mu.Unlock()
@@ -451,9 +423,7 @@ func (c *Catalog) register(reg Registration, replace bool) (*Snapshot, error) {
 			t.storeBytes.Store(size)
 			c.residentBytes += size
 		}
-		rec := store.Record{Op: op, Key: key, Name: warming.Name, Version: version, Unix: warming.Registered.UnixNano()}
-		rec.SetFingerprint(warming.Fingerprint)
-		c.cfg.Store.Append(rec)
+		c.logMutation(store.Record{Op: op, Key: key, Name: warming.Name, Version: version, Unix: warming.Registered.UnixNano()}, warming.Fingerprint)
 	}
 	t.snap.Store(warming)
 	if old == nil {
@@ -469,7 +439,7 @@ func (c *Catalog) register(reg Registration, replace bool) (*Snapshot, error) {
 // buildFn returns the async build body: train the tenant's own models,
 // assemble the ready snapshot, and publish it — unless a newer registration
 // or an eviction retired this generation first.
-func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot, client llm.Client, pcfg core.Config) func(context.Context) error {
+func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot) func(context.Context) error {
 	return func(ctx context.Context) error {
 		clf := classifier.Train(warming.Demos)
 		if err := ctx.Err(); err != nil {
@@ -481,7 +451,7 @@ func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot, client llm.Cl
 		}
 		ready := *warming
 		ready.State = StateReady
-		ready.Pipeline = core.NewWithModels(warming.Demos, client, pcfg, clf, pred)
+		ready.Pipeline = core.NewWithModels(warming.Demos, warming.Cache, *c.cfg.Pipeline, clf, pred)
 		ready.Built = c.now()
 
 		c.mu.Lock()
@@ -500,9 +470,7 @@ func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot, client llm.Cl
 			if size, err := c.cfg.Store.SaveSnapshot(t.key, c.storeSnapshot(&ready, clf, pred)); err == nil {
 				c.residentBytes += size - t.storeBytes.Load()
 				t.storeBytes.Store(size)
-				rec := store.Record{Op: store.OpBuilt, Key: t.key, Version: ready.Version, Unix: ready.Built.UnixNano()}
-				rec.SetFingerprint(ready.Fingerprint)
-				c.cfg.Store.Append(rec)
+				c.logMutation(store.Record{Op: store.OpBuilt, Key: t.key, Version: ready.Version, Unix: ready.Built.UnixNano()}, ready.Fingerprint)
 			}
 		}
 		// Refresh recency without counting a lookup: a tenant that queued
@@ -514,6 +482,28 @@ func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot, client llm.Cl
 		c.enforceBudgetLocked(t)
 		slog.Info("tenant build complete", "tenant", t.key, "version", ready.Version)
 		return nil
+	}
+}
+
+// resident completes s with the parts every loaded snapshot of a tenant
+// owns: an LLM cache over the shared client, a plan cache, and a pipeline
+// over s.Demos with the given models. Registration and the lazy load from
+// the store both build through here; the ready snapshot a build publishes
+// keeps its warming snapshot's caches.
+func (c *Catalog) resident(s *Snapshot, clf *classifier.Model, pred *predictor.Model) *Snapshot {
+	s.Cache = llm.NewCache(c.cfg.Client, tenantCacheEntries)
+	s.Plans = sqlexec.NewPlanCache(tenantPlanEntries)
+	s.Pipeline = core.NewWithModels(s.Demos, s.Cache, *c.cfg.Pipeline, clf, pred)
+	return s
+}
+
+// logMutation appends one catalog mutation to the store's WAL. A failed
+// append leaves the mutation applied in memory but not durable; the store
+// counts it (store_wal_append_failures_total) and it is logged here.
+func (c *Catalog) logMutation(rec store.Record, fp uint64) {
+	rec.SetFingerprint(fp)
+	if err := c.cfg.Store.Append(rec); err != nil {
+		slog.Warn("wal append failed", "tenant", rec.Key, "op", string(rec.Op), "err", err)
 	}
 }
 
@@ -575,9 +565,7 @@ func (c *Catalog) retireTenantLocked(t *Tenant, op store.Op) {
 		}
 	}
 	if c.cfg.Store != nil {
-		rec := store.Record{Op: op, Key: t.key, Name: s.Name, Version: s.Version, Unix: c.now().UnixNano()}
-		rec.SetFingerprint(s.Fingerprint)
-		c.cfg.Store.Append(rec)
+		c.logMutation(store.Record{Op: op, Key: t.key, Name: s.Name, Version: s.Version, Unix: c.now().UnixNano()}, s.Fingerprint)
 		// With a shared store only explicit deregistration destroys the
 		// persisted snapshot: an eviction or corrupt-load drop on this shard
 		// must not delete trained state that the ring may place on another

@@ -398,9 +398,16 @@ func TestConcurrentChaos(t *testing.T) {
 }
 
 func TestBuildQueueSaturation(t *testing.T) {
+	m := jobs.NewManager(nil, jobs.Config{Runners: 1, Queue: 1})
+	t.Cleanup(func() { // runs after the catalog's own cleanup closes it
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := m.Shutdown(ctx); err != nil {
+			t.Errorf("build manager shutdown: %v", err)
+		}
+	})
 	cfg := testConfig()
-	cfg.BuildRunners = 1
-	cfg.BuildQueue = 1
+	cfg.Jobs = m
 	c := newTestCatalog(t, cfg)
 	// Flood registrations; at least one must hit ErrBusy with queue=1, and
 	// every ErrBusy rollback must leave no half-registered tenant behind.

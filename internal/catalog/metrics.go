@@ -35,6 +35,7 @@ func (c *Catalog) Instrument(reg *metrics.Registry) {
 			s.Counter("store_bytes_saved_total", "Snapshot bytes written to the store.", float64(ss.BytesSaved))
 			s.Counter("store_wal_appends_total", "Catalog mutations appended to the write-ahead log.", float64(ss.WALAppends))
 			s.Counter("store_wal_syncs_total", "WAL fsyncs issued.", float64(ss.WALSyncs))
+			s.Counter("store_wal_append_failures_total", "WAL appends that failed to write or fsync (the mutation is not durable).", float64(ss.WALAppendFailures))
 			s.Counter("store_compactions_total", "WAL compactions performed at startup.", float64(ss.Compactions))
 			s.Gauge("store_wal_records_replayed", "WAL records replayed at startup.", float64(ss.WALReplayed))
 			s.Gauge("store_recovered_tenants", "Tenants replayed from the WAL at startup.", float64(ss.Recovered))

@@ -54,6 +54,7 @@ func TestInstrumentStoreAndTranslateSeries(t *testing.T) {
 	}
 	want := map[string]float64{
 		"store_save_failures_total":                     0,
+		"store_wal_append_failures_total":               0,
 		"store_deletes_total":                           1,
 		"store_wal_records_replayed":                    float64(st.Stats().WALReplayed),
 		`tenant_translate_seconds_total{tenant="kept"}`: 2,

@@ -67,9 +67,9 @@ type Snapshot struct {
 	Demos []*spider.Example
 	// Pipeline is the tenant's translation pipeline.
 	Pipeline *core.Pipeline
-	// Cache is the tenant's LLM response cache (nil when disabled). Warming
-	// and ready snapshots of one version share it, so responses cached
-	// while warming survive the model swap.
+	// Cache is the tenant's LLM response cache (nil on a stored stub).
+	// Warming and ready snapshots of one version share it, so responses
+	// cached while warming survive the model swap.
 	Cache *llm.Cache
 	// Plans is the tenant's prepared-statement cache for /execute traffic.
 	Plans *sqlexec.PlanCache

@@ -13,11 +13,8 @@ import (
 	"time"
 
 	"repro/internal/classifier"
-	"repro/internal/core"
 	"repro/internal/jobs"
-	"repro/internal/llm"
 	"repro/internal/predictor"
-	"repro/internal/sqlexec"
 	"repro/internal/store"
 )
 
@@ -108,9 +105,7 @@ func (c *Catalog) AdoptStored(name string) (*Snapshot, error) {
 	// recovery only trusts records whose snapshot landed first. Built
 	// status is not recorded — ready-vs-warming is decided at load by
 	// whether the file carries models.
-	rec := store.Record{Op: store.OpRegister, Key: key, Name: key, Version: version, Unix: stub.Registered.UnixNano()}
-	rec.SetFingerprint(fp)
-	c.cfg.Store.Append(rec)
+	c.logMutation(store.Record{Op: store.OpRegister, Key: key, Name: key, Version: version, Unix: stub.Registered.UnixNano()}, fp)
 	c.swapTenants(func(m tenantMap) { m[key] = t })
 	c.counters.Adopted++
 	c.evictOverCapLocked(t)
@@ -166,40 +161,26 @@ func (c *Catalog) loadStored(t *Tenant, stub *Snapshot) bool {
 		c.dropTenant(t)
 		return false
 	}
-	client := c.cfg.Client
-	var cache *llm.Cache
-	if c.cfg.CacheCap > 0 {
-		cache = llm.NewCache(client, c.cfg.CacheCap)
-		client = cache
-	}
-	pcfg := core.DefaultConfig()
-	if c.cfg.Pipeline != nil {
-		pcfg = *c.cfg.Pipeline
-	}
-	loaded := &Snapshot{
-		Name:        ts.Name,
-		Version:     ts.Version,
-		Fingerprint: ts.Fingerprint,
-		DB:          ts.DB,
-		Demos:       demos,
-		Cache:       cache,
-		Plans:       sqlexec.NewPlanCache(c.cfg.PlanCacheCap),
-		Registered:  ts.Registered,
-	}
+	state, built := StateWarming, time.Time{}
+	clf, pred := c.cfg.Fallback.Clf, c.cfg.Fallback.Pred
 	if ts.HasModels() {
-		clf := &classifier.Model{}
-		pred := &predictor.Model{}
+		clf, pred = &classifier.Model{}, &predictor.Model{}
 		if clf.UnmarshalBinary(ts.Classifier) != nil || pred.UnmarshalBinary(ts.Predictor) != nil {
 			c.dropTenant(t)
 			return false
 		}
-		loaded.State = StateReady
-		loaded.Built = ts.Built
-		loaded.Pipeline = core.NewWithModels(demos, client, pcfg, clf, pred)
-	} else {
-		loaded.State = StateWarming
-		loaded.Pipeline = core.NewWithModels(demos, client, pcfg, c.cfg.Fallback.Clf, c.cfg.Fallback.Pred)
+		state, built = StateReady, ts.Built
 	}
+	loaded := c.resident(&Snapshot{
+		Name:        ts.Name,
+		Version:     ts.Version,
+		State:       state,
+		Fingerprint: ts.Fingerprint,
+		DB:          ts.DB,
+		Demos:       demos,
+		Registered:  ts.Registered,
+		Built:       built,
+	}, clf, pred)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -219,7 +200,7 @@ func (c *Catalog) loadStored(t *Tenant, stub *Snapshot) bool {
 		gen := t.gen.Load() + 1
 		req := jobs.Request{
 			Label: "catalog-build " + t.key + " v" + fmt.Sprint(loaded.Version) + " (recovered)",
-			Run:   c.buildFn(t, gen, loaded, client, pcfg),
+			Run:   c.buildFn(t, gen, loaded),
 		}
 		if _, err := c.builds.Submit(req); err == nil {
 			t.gen.Store(gen)

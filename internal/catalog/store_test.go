@@ -57,6 +57,38 @@ func closeCatalog(t *testing.T, c *Catalog) {
 	}
 }
 
+// wedgedBuilds is an external build manager whose single runner a blocker
+// job holds until release is called, so builds submitted to it stay
+// queued: a free runner can finish a tiny tenant's build before the test
+// looks at the warming state. The manager shuts down when the test ends,
+// after the deferred catalog closes.
+func wedgedBuilds(t *testing.T) (jm *jobs.Manager, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	jm = jobs.NewManager(nil, jobs.Config{Runners: 1, Queue: 8, TTL: time.Minute})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(func() {
+		release()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := jm.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+	blocker := func(ctx context.Context) error {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+		return nil
+	}
+	if _, err := jm.Submit(jobs.Request{Label: "blocker", Run: blocker}); err != nil {
+		t.Fatal(err)
+	}
+	return jm, release
+}
+
 // translateShop resolves the tenant and translates the shared shop
 // question; the returned SQL must be byte-identical across restarts.
 func translateShop(t *testing.T, c *Catalog, name string) string {
@@ -150,20 +182,8 @@ func TestDurableRestartServesReadyWithoutRetraining(t *testing.T) {
 func TestRestartRecoversUnbuiltTenantAndRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	// An external jobs manager whose single runner is wedged on a blocker
-	// job: the tenant's build never runs, simulating a crash mid-queue.
-	gate := make(chan struct{})
-	jm := jobs.NewManager(nil, jobs.Config{Runners: 1, Queue: 8, TTL: time.Minute})
-	blocker := func(ctx context.Context) error {
-		select {
-		case <-gate:
-		case <-ctx.Done():
-		}
-		return nil
-	}
-	if _, err := jm.Submit(jobs.Request{Label: "blocker", Run: blocker}); err != nil {
-		t.Fatal(err)
-	}
+	// The tenant's build never runs, simulating a crash mid-queue.
+	jm, _ := wedgedBuilds(t)
 	c := newDurableCatalog(t, st, func(cfg *Config) { cfg.Jobs = jm })
 	if _, err := c.Register(Registration{DB: shopDB("unbuilt"), Demos: shopDemos()}); err != nil {
 		t.Fatal(err)
@@ -172,11 +192,12 @@ func TestRestartRecoversUnbuiltTenantAndRebuilds(t *testing.T) {
 		t.Fatalf("state = %s, want warming (build wedged)", state)
 	}
 	closeCatalog(t, c)
-	close(gate)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := jm.Shutdown(ctx); err != nil {
-		t.Fatal(err)
+	// Drain with the blocker still holding the runner and an expired
+	// context: the queued build is cancelled before it can run.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := jm.Shutdown(ctx); err != context.Canceled {
+		t.Fatalf("shutdown: %v, want context.Canceled", err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -184,7 +205,10 @@ func TestRestartRecoversUnbuiltTenantAndRebuilds(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	c2 := newDurableCatalog(t, st2, nil)
+	// The resubmitted build queues behind a blocker until the warming state
+	// has been checked.
+	jm2, release := wedgedBuilds(t)
+	c2 := newDurableCatalog(t, st2, func(cfg *Config) { cfg.Jobs = jm2 })
 	defer closeCatalog(t, c2)
 	tn, ok := c2.Lookup("unbuilt")
 	if !ok {
@@ -195,6 +219,7 @@ func TestRestartRecoversUnbuiltTenantAndRebuilds(t *testing.T) {
 	if s := tn.Snapshot(); s.State != StateWarming {
 		t.Fatalf("state = %s, want warming (models were never persisted)", s.State)
 	}
+	release()
 	snap := waitReady(t, c2, "unbuilt")
 	if snap.Version != 1 {
 		t.Fatalf("version = %d, want 1", snap.Version)
@@ -263,24 +288,7 @@ func TestSharedPlanRefcount(t *testing.T) {
 // than IdleTTL must survive the janitor, and its completed build must
 // refresh recency so it is not evicted the moment training lands.
 func TestWarmingExemptFromIdleEviction(t *testing.T) {
-	gate := make(chan struct{})
-	jm := jobs.NewManager(nil, jobs.Config{Runners: 1, Queue: 8, TTL: time.Minute})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		jm.Shutdown(ctx)
-	})
-	blocker := func(ctx context.Context) error {
-		select {
-		case <-gate:
-		case <-ctx.Done():
-		}
-		return nil
-	}
-	if _, err := jm.Submit(jobs.Request{Label: "blocker", Run: blocker}); err != nil {
-		t.Fatal(err)
-	}
-
+	jm, release := wedgedBuilds(t)
 	cfg := testConfig()
 	cfg.Jobs = jm
 	cfg.IdleTTL = time.Hour
@@ -306,7 +314,7 @@ func TestWarmingExemptFromIdleEviction(t *testing.T) {
 
 	// Training lands at t0+2h (clock-advanced), refreshing recency.
 	clock.Store(t0.Add(2 * time.Hour).UnixNano())
-	close(gate)
+	release()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		if state, ok := tenantState(c, "warmy"); ok && state == StateReady {
@@ -333,29 +341,9 @@ func TestWarmingExemptFromIdleEviction(t *testing.T) {
 func TestLifecycleWarmingReadyEvictReregister(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	defer st.Close()
-	// Builds run on a one-runner jobs manager that a blocker job holds until
-	// step 1 has been checked; a free runner can finish this tiny tenant's
-	// build, and persist its models, before Register's caller looks.
-	gate := make(chan struct{})
-	jm := jobs.NewManager(nil, jobs.Config{Runners: 1, Queue: 8, TTL: time.Minute})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := jm.Shutdown(ctx); err != nil {
-			t.Error(err)
-		}
-	}()
-	blocker := func(ctx context.Context) error {
-		select {
-		case <-gate:
-		case <-ctx.Done():
-		}
-		return nil
-	}
-	if _, err := jm.Submit(jobs.Request{Label: "blocker", Run: blocker}); err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { st.Close() }) // after the build manager drains
+	// Builds wait behind a blocker until step 1 has been checked.
+	jm, release := wedgedBuilds(t)
 	c := newDurableCatalog(t, st, func(cfg *Config) { cfg.MaxTenants = 1; cfg.Jobs = jm })
 	defer closeCatalog(t, c)
 
@@ -371,7 +359,7 @@ func TestLifecycleWarmingReadyEvictReregister(t *testing.T) {
 	if ss := st.Stats(); ss.Saves != 1 || ss.WALAppends != 1 || ss.Snapshots != 1 {
 		t.Fatalf("after register: %+v", ss)
 	}
-	close(gate)
+	release()
 	const q = "SELECT label FROM item WHERE price < 100"
 	if _, err := sqlexec.Shared.Exec(db, q); err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ type Config struct {
 	// request overrides it.
 	Workers int
 	// TTL is how long finished jobs remain queryable before the janitor
-	// deletes them (default 15m). TTL < 0 disables garbage collection.
+	// deletes them (default 15m).
 	TTL time.Duration
 }
 
@@ -85,7 +85,7 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.TTL == 0 {
+	if c.TTL <= 0 {
 		c.TTL = 15 * time.Minute
 	}
 	return c
@@ -258,8 +258,7 @@ func (m *Manager) OnEvict(fn func(ids []string)) {
 }
 
 // NewManager builds a manager around any Translator and starts its runners
-// (and, when cfg.TTL >= 0, the garbage-collection janitor). Call Shutdown to
-// stop it.
+// and the garbage-collection janitor. Call Shutdown to stop it.
 func NewManager(tr core.Translator, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
@@ -530,10 +529,6 @@ func (m *Manager) run(j *job) {
 // janitor periodically deletes finished jobs older than the TTL.
 func (m *Manager) janitor() {
 	defer close(m.gcDone)
-	if m.cfg.TTL < 0 {
-		<-m.stopGC
-		return
-	}
 	period := m.cfg.TTL / 4
 	if period < time.Second {
 		period = time.Second
@@ -554,9 +549,6 @@ func (m *Manager) janitor() {
 // returns how many it removed. The janitor calls it on a timer; tests may
 // call it directly with a synthetic clock.
 func (m *Manager) GC(now time.Time) int {
-	if m.cfg.TTL < 0 {
-		return 0
-	}
 	cutoff := now.Add(-m.cfg.TTL)
 	m.mu.Lock()
 	var evicted []string

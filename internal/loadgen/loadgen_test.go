@@ -49,7 +49,7 @@ func testService(t *testing.T) (*httptest.Server, *metrics.Registry) {
 	tr := trace.New(trace.Config{Service: "loadgen-test", Sample: 0, Slow: time.Hour, RecentCap: 1 << 16})
 	s := service.New(p, srvCorpus,
 		service.WithCatalog(cat),
-		service.WithJobs(jobs.Config{Runners: 1, Queue: 8, TTL: -1}),
+		service.WithJobs(jobs.Config{Runners: 1, Queue: 8}),
 		service.WithTracer(tr),
 	)
 	cache.Instrument(s.Registry(), "llm")

@@ -42,6 +42,8 @@ const ShardHeader = "X-NL2SQL-Shard"
 
 const (
 	ejectThreshold  = 2                      // consecutive probe failures before ejection
+	retries         = 2                      // extra attempts against other shards after a transport error
+	maxProbeWait    = 2 * time.Second        // one probe's bound, tightened to the probe interval when shorter
 	coldHedgeDelay  = 25 * time.Millisecond  // adaptive hedge delay before enough samples
 	hedgeMinSamples = 50                     // observations before trusting the p95
 	hedgeFloor      = 2 * time.Millisecond   // adaptive clamp: never hedge hotter than this
@@ -58,17 +60,9 @@ type Config struct {
 	// is tolerated and stripped). Order does not matter — placement is
 	// order-independent by construction.
 	Shards []string
-	// VNodes is the ring's virtual-node budget per shard (default
-	// DefaultVNodes).
-	VNodes int
 	// ProbeInterval is the health-probe cadence (default 1s). Negative
 	// disables the background loop; tests then drive CheckNow directly.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request (default min(ProbeInterval, 2s)).
-	ProbeTimeout time.Duration
-	// Retries is the number of extra attempts against other healthy shards
-	// after a transport error (default 2; negative disables retries).
-	Retries int
 	// HedgeAfter fixes the hedging delay. Zero selects the adaptive mode —
 	// the router's observed p95, clamped to [2ms, 500ms], re-derived each
 	// probe tick. Negative disables hedging.
@@ -152,20 +146,12 @@ func New(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 2
-	} else if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
 	rt := &Router{
 		cfg:           cfg,
 		shards:        shards,
 		shardSet:      map[string]bool{},
 		probeInterval: cfg.ProbeInterval,
-		probeTimeout:  cfg.ProbeTimeout,
+		probeTimeout:  maxProbeWait,
 		health:        map[string]shardHealth{},
 		adopting:      map[string]*adoptCall{},
 		stop:          make(chan struct{}),
@@ -174,11 +160,8 @@ func New(cfg Config) (*Router, error) {
 	if rt.probeInterval == 0 {
 		rt.probeInterval = time.Second
 	}
-	if rt.probeTimeout <= 0 {
-		rt.probeTimeout = 2 * time.Second
-		if rt.probeInterval > 0 && rt.probeInterval < rt.probeTimeout {
-			rt.probeTimeout = rt.probeInterval
-		}
+	if rt.probeInterval > 0 && rt.probeInterval < rt.probeTimeout {
+		rt.probeTimeout = rt.probeInterval
 	}
 	rt.transport = cfg.Transport
 	if rt.transport == nil {
@@ -352,7 +335,7 @@ func (rt *Router) publishLocked() {
 		}
 	}
 	rt.epoch++
-	rt.tab.Store(&table{ring: BuildRing(healthy, rt.cfg.VNodes), epoch: rt.epoch})
+	rt.tab.Store(&table{ring: BuildRing(healthy, DefaultVNodes), epoch: rt.epoch})
 	rt.gHealthy.Set(float64(len(healthy)))
 }
 
@@ -439,23 +422,19 @@ type ShardStatus struct {
 	Placement float64 `json:"placement"` // share of the ring, 0 when ejected
 }
 
-// Status is the /v1/router report.
+// Status is the /v1/router report. The healthy count is the number of
+// healthy entries in Shards (also the router_healthy_shards gauge).
 type Status struct {
-	Epoch         uint64        `json:"epoch"`
-	HealthyShards int           `json:"healthy_shards"`
-	HedgeAfterMs  float64       `json:"hedge_after_ms"` // negative when hedging is disabled
-	Shards        []ShardStatus `json:"shards"`
+	Epoch        uint64        `json:"epoch"`
+	HedgeAfterMs float64       `json:"hedge_after_ms"` // negative when hedging is disabled
+	Shards       []ShardStatus `json:"shards"`
 }
 
 // Status reports the current topology.
 func (rt *Router) Status() Status {
 	tab := rt.tab.Load()
 	placement := tab.ring.Placement()
-	st := Status{
-		Epoch:         tab.epoch,
-		HealthyShards: tab.ring.Len(),
-		HedgeAfterMs:  -1,
-	}
+	st := Status{Epoch: tab.epoch, HedgeAfterMs: -1}
 	if d, ok := rt.hedgeDelay(); ok {
 		st.HedgeAfterMs = float64(d) / float64(time.Millisecond)
 	}
@@ -654,8 +633,8 @@ func (rt *Router) dispatch(r *http.Request, body []byte, key string) (*upstreamR
 			cands = append(cands, s)
 		}
 	}
-	if max := 1 + rt.cfg.Retries; len(cands) > max {
-		cands = cands[:max]
+	if len(cands) > 1+retries {
+		cands = cands[:1+retries]
 	}
 	trace.FromContext(r.Context()).SetAttrs(
 		trace.Str("primary_shard", primary), trace.Int("candidates", int64(len(cands))))

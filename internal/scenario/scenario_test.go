@@ -219,7 +219,7 @@ func testServer(t *testing.T) *httptest.Server {
 	p := core.New(corpus.Train.Examples, client, cfg)
 	s := service.New(p, corpus,
 		service.WithCatalog(cat),
-		service.WithJobs(jobs.Config{Runners: 1, Queue: 2, TTL: -1}),
+		service.WithJobs(jobs.Config{Runners: 1, Queue: 2}),
 		service.WithFault(fault),
 	)
 	cache.Instrument(s.Registry(), "llm")

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/jobs"
 	"repro/internal/trace"
 )
@@ -105,28 +104,7 @@ func (s *Server) renderedResults(st jobs.Status) []BatchItem {
 	// The job status echoes its own examples, so rendering needs no side
 	// table — benchmark and tenant jobs share one path, and the GC evict
 	// hook (wired in New) keeps this cache aligned with the job table.
-	items := make([]BatchItem, 0, len(st.Results))
-	for i, res := range st.Results {
-		if i < len(st.Done) && !st.Done[i] {
-			continue // not translated before cancellation
-		}
-		if i >= len(st.Examples) {
-			continue
-		}
-		taskID := i
-		if st.TaskIDs != nil {
-			taskID = st.TaskIDs[i]
-		}
-		e := st.Examples[i]
-		items = append(items, BatchItem{
-			TaskID:     taskID,
-			SQL:        res.SQL,
-			Gold:       e.GoldSQL,
-			ExactMatch: eval.ExactSetMatchSQL(res.SQL, e.GoldSQL),
-			ExecMatch:  eval.ExecutionMatch(e.DB, res.SQL, e.GoldSQL),
-			DemosUsed:  res.DemosUsed,
-		})
-	}
+	items := batchItems(st.TaskIDs, st.Examples, st.Results, st.Done)
 	// Memoize only while the job is still in the manager's table. The evict
 	// hook also takes resMu, so orderings interleave safely: if the GC ran
 	// after this render began, either the Get below already misses, or the
@@ -144,57 +122,22 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Link the job to this request's trace (inert when unsampled): the
-	// runner's queue-wait and run spans land under this submission's span.
-	jreq := jobs.Request{Workers: req.Workers, Label: req.Label, Trace: trace.LinkFromContext(r.Context())}
-	switch {
-	case req.Database != "" && s.catalog != nil:
-		// Tenant-scoped form: the job runs on the tenant's pipeline (its
-		// snapshot pinned at submission) instead of the server default.
-		if len(req.TaskIDs) > 0 {
-			http.Error(w, "use task_ids or database+questions, not both", http.StatusBadRequest)
-			return
-		}
-		if len(req.Questions) == 0 {
-			http.Error(w, "questions is empty", http.StatusBadRequest)
-			return
-		}
-		if len(req.Questions) > maxBatch {
-			http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		t := s.tenantFor(r.Context(), req.Database)
-		if t == nil {
-			http.Error(w, "unknown database", http.StatusNotFound)
-			return
-		}
-		trace.FromContext(r.Context()).SetTenant(req.Database)
-		snap := t.Snapshot()
-		examples, ok := s.tenantExamples(w, snap, req.Questions)
-		if !ok {
-			return
-		}
-		jreq.Examples = examples
-		jreq.Translator = countingTranslator{t: t, inner: snap.Pipeline}
-	default:
-		if len(req.TaskIDs) == 0 {
-			http.Error(w, "task_ids is empty", http.StatusBadRequest)
-			return
-		}
-		if len(req.TaskIDs) > maxBatch {
-			http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		s.mu.RLock()
-		examples, ok := s.lookupTasks(w, req.TaskIDs)
-		s.mu.RUnlock()
-		if !ok {
-			return
-		}
-		jreq.Examples = examples
-		jreq.TaskIDs = req.TaskIDs
+	in, ok := s.resolveBatch(w, r, req.TaskIDs, req.Database, req.Questions)
+	if !ok {
+		return
 	}
-	st, err := s.jobs.Submit(jreq)
+	// A tenant job runs on the tenant's pipeline; a dev-task job leaves
+	// Translator nil for the manager's own. Trace links the job to this
+	// request's trace (inert when unsampled): the runner's queue-wait and
+	// run spans land under this submission's span.
+	st, err := s.jobs.Submit(jobs.Request{
+		Examples:   in.examples,
+		Workers:    req.Workers,
+		Label:      req.Label,
+		TaskIDs:    in.ids,
+		Translator: in.tenant,
+		Trace:      trace.LinkFromContext(r.Context()),
+	})
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		http.Error(w, err.Error(), http.StatusTooManyRequests)

@@ -24,7 +24,7 @@ func metricsServer(t *testing.T) *httptest.Server {
 	base := llm.NewSim(llm.ChatGPT)
 	cache := llm.NewCache(base, 256)
 	p := core.New(c.Train.Examples, cache, cfg)
-	s := New(p, c, WithJobs(jobs.Config{Runners: 1, Queue: 4, TTL: -1}))
+	s := New(p, c, WithJobs(jobs.Config{Runners: 1, Queue: 4}))
 	cache.Instrument(s.Registry(), "llm")
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)

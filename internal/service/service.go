@@ -29,8 +29,9 @@ import (
 const maxBatch = 1024
 
 // Server wires a pipeline and a set of databases into an http.Handler.
+// pipeline, corpus and byDB are fixed in New, so handlers read them
+// without locking.
 type Server struct {
-	mu       sync.RWMutex
 	pipeline *core.Pipeline
 	corpus   *spider.Corpus
 	byDB     map[string][]*spider.Example
@@ -227,7 +228,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // lookupTasks resolves task IDs to dev examples, writing a 404 and
-// returning ok=false on any out-of-range ID. Callers must hold s.mu.
+// returning ok=false on any out-of-range ID.
 func (s *Server) lookupTasks(w http.ResponseWriter, ids []int) ([]*spider.Example, bool) {
 	examples := make([]*spider.Example, 0, len(ids))
 	for _, id := range ids {
@@ -309,8 +310,6 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case req.TaskID != nil:
-		s.mu.RLock()
-		defer s.mu.RUnlock()
 		id := *req.TaskID
 		if id < 0 || id >= len(s.corpus.Dev.Examples) {
 			http.Error(w, "task_id out of range", http.StatusNotFound)
@@ -333,8 +332,6 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 			s.translateTenant(w, r, t, req.Question)
 			return
 		}
-		s.mu.RLock()
-		defer s.mu.RUnlock()
 		examples := s.byDB[strings.ToLower(req.Database)]
 		if len(examples) == 0 {
 			http.Error(w, "unknown database", http.StatusNotFound)
@@ -392,80 +389,100 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-
-	// Tenant-scoped form: questions against a registered database.
-	if req.Database != "" && s.catalog != nil {
-		if len(req.TaskIDs) > 0 {
-			http.Error(w, "use task_ids or database+questions, not both", http.StatusBadRequest)
-			return
-		}
-		if len(req.Questions) == 0 {
-			http.Error(w, "questions is empty", http.StatusBadRequest)
-			return
-		}
-		if len(req.Questions) > maxBatch {
-			http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		t := s.tenantFor(r.Context(), req.Database)
-		if t == nil {
-			http.Error(w, "unknown database", http.StatusNotFound)
-			return
-		}
-		trace.FromContext(r.Context()).SetTenant(req.Database)
-		snap := t.Snapshot()
-		examples, ok := s.tenantExamples(w, snap, req.Questions)
-		if !ok {
-			return
-		}
-		ids := make([]int, len(examples))
-		for i := range ids {
-			ids[i] = i
-		}
-		s.runBatch(w, r, countingTranslator{t: t, inner: snap.Pipeline}, examples, ids, req.Workers)
-		return
-	}
-
-	if len(req.TaskIDs) == 0 {
-		http.Error(w, "task_ids is empty", http.StatusBadRequest)
-		return
-	}
-	if len(req.TaskIDs) > maxBatch {
-		http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	examples, ok := s.lookupTasks(w, req.TaskIDs)
+	in, ok := s.resolveBatch(w, r, req.TaskIDs, req.Database, req.Questions)
 	if !ok {
 		return
 	}
-	s.runBatch(w, r, s.pipeline, examples, req.TaskIDs, req.Workers)
-}
-
-// runBatch fans examples across an engine over tr and renders the shared
-// batch response shape (ids label the result items).
-func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, tr core.Translator, examples []*spider.Example, ids []int, workers int) {
+	tr := in.tenant
+	if tr == nil {
+		tr = s.pipeline
+	}
+	workers := req.Workers
 	if workers <= 0 {
 		workers = s.workers
 	}
 	eng := core.NewEngine(tr, workers)
-	results, stats, err := eng.TranslateBatch(r.Context(), examples)
+	results, stats, err := eng.TranslateBatch(r.Context(), in.examples)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusRequestTimeout)
 		return
 	}
-	out := BatchResponse{
+	writeJSON(w, BatchResponse{
+		Results:      batchItems(in.ids, in.examples, results, nil),
 		Completed:    stats.Completed,
 		InputTokens:  stats.InputTokens,
 		OutputTokens: stats.OutputTokens,
 		DemosUsed:    stats.DemosUsed,
 		Workers:      eng.Workers(),
+	})
+}
+
+// batchInput is a validated /v1/batch or /v1/jobs input: the examples to
+// translate and the task IDs that label their results (nil for a tenant's
+// questions, labeled by position). tenant is the tenant's counting pipeline,
+// nil for dev tasks, which run on the server's own pipeline.
+type batchInput struct {
+	examples []*spider.Example
+	ids      []int
+	tenant   core.Translator
+}
+
+// resolveBatch validates the input /v1/batch and /v1/jobs share: dev task
+// IDs, or a registered tenant's database plus questions, resolved against
+// the tenant's demonstration pool with its snapshot pinned now. On a bad
+// input it writes the error response and returns ok=false.
+func (s *Server) resolveBatch(w http.ResponseWriter, r *http.Request, taskIDs []int, database string, questions []string) (batchInput, bool) {
+	if database == "" || s.catalog == nil {
+		if len(taskIDs) == 0 {
+			http.Error(w, "task_ids is empty", http.StatusBadRequest)
+			return batchInput{}, false
+		}
+		if len(taskIDs) > maxBatch {
+			http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
+			return batchInput{}, false
+		}
+		examples, ok := s.lookupTasks(w, taskIDs)
+		return batchInput{examples: examples, ids: taskIDs}, ok
 	}
+	if len(taskIDs) > 0 {
+		http.Error(w, "use task_ids or database+questions, not both", http.StatusBadRequest)
+		return batchInput{}, false
+	}
+	if len(questions) == 0 {
+		http.Error(w, "questions is empty", http.StatusBadRequest)
+		return batchInput{}, false
+	}
+	if len(questions) > maxBatch {
+		http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
+		return batchInput{}, false
+	}
+	t := s.tenantFor(r.Context(), database)
+	if t == nil {
+		http.Error(w, "unknown database", http.StatusNotFound)
+		return batchInput{}, false
+	}
+	trace.FromContext(r.Context()).SetTenant(database)
+	snap := t.Snapshot()
+	examples, ok := s.tenantExamples(w, snap, questions)
+	return batchInput{examples: examples, tenant: countingTranslator{t: t, inner: snap.Pipeline}}, ok
+}
+
+// batchItems grades translations against their tasks' gold SQL, in input
+// order. ids label the items (nil labels by position); done, when non-nil,
+// marks the slots a cancelled job translated before it stopped.
+func batchItems(ids []int, examples []*spider.Example, results []core.Translation, done []bool) []BatchItem {
+	var items []BatchItem
 	for i, res := range results {
+		if i < len(done) && !done[i] || i >= len(examples) {
+			continue
+		}
+		taskID := i
+		if ids != nil {
+			taskID = ids[i]
+		}
 		e := examples[i]
-		out.Results = append(out.Results, BatchItem{
-			TaskID:     ids[i],
+		items = append(items, BatchItem{
+			TaskID:     taskID,
 			SQL:        res.SQL,
 			Gold:       e.GoldSQL,
 			ExactMatch: eval.ExactSetMatchSQL(res.SQL, e.GoldSQL),
@@ -473,7 +490,7 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, tr core.Transl
 			DemosUsed:  res.DemosUsed,
 		})
 	}
-	writeJSON(w, out)
+	return items
 }
 
 // ExecuteRequest runs read-only SQL against a benchmark database.
@@ -505,8 +522,6 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeExecResult(w, res, err)
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	examples := s.byDB[strings.ToLower(req.Database)]
 	if len(examples) == 0 {
 		http.Error(w, "unknown database", http.StatusNotFound)

@@ -2,12 +2,12 @@
 // fingerprint-addressed serialization of tenant snapshots to a data
 // directory, plus a write-ahead log of catalog mutations. The catalog
 // appends a WAL record for every register / re-register / deregister /
-// evict and persists each tenant's snapshot (schema, demo pool, trained
-// classifier and predictor) when its async build completes; on the next
-// Open the WAL is replayed into the live tenant set so a restarted server
-// publishes every previously-built tenant immediately and lazily loads the
-// heavy snapshot bytes on first lookup — no warming stampede, no
-// re-training.
+// evict, fsynced before Append returns, and persists each tenant's
+// snapshot (schema, demo pool, trained classifier and predictor) when its
+// async build completes; on the next Open the WAL is replayed into the
+// live tenant set so a restarted server publishes every previously-built
+// tenant immediately and lazily loads the heavy snapshot bytes on first
+// lookup — no warming stampede, no re-training.
 //
 // On-disk layout:
 //
@@ -58,37 +58,8 @@ var ErrCorrupt = errors.New("store: corrupt snapshot")
 // requested (key, version, fingerprint) address.
 var ErrNoSnapshot = errors.New("store: no snapshot")
 
-// SyncMode controls when WAL appends reach stable storage.
-type SyncMode int
-
-// Sync modes. SyncAlways fsyncs every append (crash-safe, the default for
-// the server's -wal-sync always); SyncInterval batches fsyncs on a timer
-// (bounded loss window); SyncNever leaves flushing to the OS.
-const (
-	SyncAlways SyncMode = iota
-	SyncInterval
-	SyncNever
-)
-
-// ParseSyncMode maps the -wal-sync flag values.
-func ParseSyncMode(s string) (SyncMode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
-	}
-	return SyncAlways, fmt.Errorf("store: unknown wal sync mode %q (want always, interval or never)", s)
-}
-
 // Options parameterizes Open.
 type Options struct {
-	// Sync is the WAL durability mode (default SyncAlways).
-	Sync SyncMode
-	// SyncEvery is the flush period for SyncInterval (default 100ms).
-	SyncEvery time.Duration
 	// Instance, when set, puts the store in shared mode: several processes
 	// (shards behind a router) use one data directory, each appending to
 	// its own wal-<instance>.log while the snapshots/ directory is common
@@ -140,14 +111,18 @@ type Stats struct {
 	Deletes      int64
 	BytesLoaded  int64
 	BytesSaved   int64
-	WALAppends   int64
-	WALSyncs     int64
-	WALReplayed  int64
-	Compactions  int64
-	Recovered    int64
-	RecoveryMs   float64
-	Snapshots    int64
-	SnapshotB    int64
+	// WALAppends counts durable appends; every one was fsynced, so it
+	// equals WALSyncs. WALAppendFailures counts appends that returned an
+	// error (the record may not have reached stable storage).
+	WALAppends        int64
+	WALSyncs          int64
+	WALAppendFailures int64
+	WALReplayed       int64
+	Compactions       int64
+	Recovered         int64
+	RecoveryMs        float64
+	Snapshots         int64
+	SnapshotB         int64
 }
 
 type snapMeta struct {
@@ -166,19 +141,14 @@ type Store struct {
 	mu     sync.Mutex
 	wal    *os.File
 	walLen int64
-	dirty  bool
 	closed bool
 	files  map[string]snapMeta // key -> live snapshot file
 	live   []RecoveredTenant
 
 	loads, loadFailures, saves, saveFailures atomic.Int64
 	deletes, bytesLoaded, bytesSaved         atomic.Int64
-	walAppends, walSyncs, walReplayed        atomic.Int64
-	compactions                              atomic.Int64
-	recoveryNs                               atomic.Int64
-
-	stopSync chan struct{}
-	syncDone chan struct{}
+	walAppends, walSyncs, walAppendFailures  atomic.Int64
+	walReplayed, compactions, recoveryNs     atomic.Int64
 }
 
 // Open creates (or reopens) the data directory, replays the WAL into the
@@ -186,9 +156,6 @@ type Store struct {
 // files no live tenant addresses, and compacts the log when dead history
 // dominates. The replay cost is recorded as Stats().RecoveryMs.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 100 * time.Millisecond
-	}
 	if err := validInstance(opts.Instance); err != nil {
 		return nil, err
 	}
@@ -196,11 +163,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		files:    map[string]snapMeta{},
-		stopSync: make(chan struct{}),
-		syncDone: make(chan struct{}),
+		dir:   dir,
+		opts:  opts,
+		files: map[string]snapMeta{},
 	}
 	start := time.Now()
 	data, err := os.ReadFile(s.walPath())
@@ -245,12 +210,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 	s.recoveryNs.Store(int64(time.Since(start)))
-
-	if opts.Sync == SyncInterval {
-		go s.syncLoop()
-	} else {
-		close(s.syncDone)
-	}
 	return s, nil
 }
 
@@ -363,10 +322,16 @@ func (s *Store) Recovered() []RecoveredTenant {
 	return out
 }
 
-// Append logs one catalog mutation. Durability follows the sync mode; the
-// record order must match the catalog's mutation order (the catalog calls
-// Append under its writer mutex).
-func (s *Store) Append(r Record) error {
+// Append logs one catalog mutation and fsyncs the WAL before it returns,
+// so an accepted record survives a crash. The record order must match the
+// catalog's mutation order (the catalog calls Append under its writer
+// mutex). Every error return counts as a WAL append failure.
+func (s *Store) Append(r Record) (err error) {
+	defer func() {
+		if err != nil {
+			s.walAppendFailures.Add(1)
+		}
+	}()
 	line, err := encodeRecord(r)
 	if err != nil {
 		return err
@@ -380,16 +345,11 @@ func (s *Store) Append(r Record) error {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
 	s.walLen += int64(len(line))
-	s.walAppends.Add(1)
-	switch s.opts.Sync {
-	case SyncAlways:
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("store: wal sync: %w", err)
-		}
-		s.walSyncs.Add(1)
-	case SyncInterval:
-		s.dirty = true
+	if err := s.wal.Sync(); err != nil {
+		return fmt.Errorf("store: wal sync: %w", err)
 	}
+	s.walSyncs.Add(1)
+	s.walAppends.Add(1)
 	return nil
 }
 
@@ -555,27 +515,6 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-func (s *Store) syncLoop() {
-	defer close(s.syncDone)
-	tick := time.NewTicker(s.opts.SyncEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stopSync:
-			return
-		case <-tick.C:
-			s.mu.Lock()
-			if s.dirty && !s.closed {
-				if err := s.wal.Sync(); err == nil {
-					s.dirty = false
-					s.walSyncs.Add(1)
-				}
-			}
-			s.mu.Unlock()
-		}
-	}
-}
-
 // Stats snapshots the store counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -586,21 +525,22 @@ func (s *Store) Stats() Stats {
 	}
 	s.mu.Unlock()
 	return Stats{
-		Loads:        s.loads.Load(),
-		LoadFailures: s.loadFailures.Load(),
-		Saves:        s.saves.Load(),
-		SaveFailures: s.saveFailures.Load(),
-		Deletes:      s.deletes.Load(),
-		BytesLoaded:  s.bytesLoaded.Load(),
-		BytesSaved:   s.bytesSaved.Load(),
-		WALAppends:   s.walAppends.Load(),
-		WALSyncs:     s.walSyncs.Load(),
-		WALReplayed:  s.walReplayed.Load(),
-		Compactions:  s.compactions.Load(),
-		Recovered:    int64(len(s.live)),
-		RecoveryMs:   float64(s.recoveryNs.Load()) / 1e6,
-		Snapshots:    files,
-		SnapshotB:    bytes,
+		Loads:             s.loads.Load(),
+		LoadFailures:      s.loadFailures.Load(),
+		Saves:             s.saves.Load(),
+		SaveFailures:      s.saveFailures.Load(),
+		Deletes:           s.deletes.Load(),
+		BytesLoaded:       s.bytesLoaded.Load(),
+		BytesSaved:        s.bytesSaved.Load(),
+		WALAppends:        s.walAppends.Load(),
+		WALSyncs:          s.walSyncs.Load(),
+		WALAppendFailures: s.walAppendFailures.Load(),
+		WALReplayed:       s.walReplayed.Load(),
+		Compactions:       s.compactions.Load(),
+		Recovered:         int64(len(s.live)),
+		RecoveryMs:        float64(s.recoveryNs.Load()) / 1e6,
+		Snapshots:         files,
+		SnapshotB:         bytes,
 	}
 }
 
@@ -608,16 +548,11 @@ func (s *Store) Stats() Stats {
 // has drained (the catalog never appends after its own Close).
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	s.mu.Unlock()
-	close(s.stopSync)
-	<-s.syncDone
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	err := s.wal.Sync()
 	if cerr := s.wal.Close(); err == nil {
 		err = cerr

@@ -385,48 +385,38 @@ func TestCompactionShrinksDeadHistory(t *testing.T) {
 	}
 }
 
-func TestParseSyncMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want SyncMode
-		err  bool
-	}{
-		{"always", SyncAlways, false},
-		{"", SyncAlways, false},
-		{"Interval", SyncInterval, false},
-		{"never", SyncNever, false},
-		{"sometimes", SyncAlways, true},
-	}
-	for _, c := range cases {
-		got, err := ParseSyncMode(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseSyncMode(%q) = %v, %v", c.in, got, err)
+func TestAppendFsyncsEveryRecord(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), Options{})
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := s.Append(testRecord(OpRegister, "a", i+1, 11)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	st := s.Stats()
+	if st.WALAppends != n || st.WALSyncs != st.WALAppends || st.WALAppendFailures != 0 {
+		t.Fatalf("after %d appends: appends=%d syncs=%d failures=%d, want every append fsynced",
+			n, st.WALAppends, st.WALSyncs, st.WALAppendFailures)
 	}
 }
 
-func TestSyncModes(t *testing.T) {
-	// SyncNever and SyncInterval must still produce a replayable log after
-	// a clean Close (which always flushes).
-	for _, opts := range []Options{{Sync: SyncNever}, {Sync: SyncInterval, SyncEvery: 5 * time.Millisecond}} {
-		dir := t.TempDir()
-		s, err := Open(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append(testRecord(OpRegister, "a", 1, 11)); err != nil {
-			t.Fatal(err)
-		}
-		if opts.Sync == SyncInterval {
-			time.Sleep(25 * time.Millisecond) // let the sync loop tick
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s2 := openTestStore(t, dir, opts)
-		if live := s2.Recovered(); len(live) != 1 {
-			t.Fatalf("sync mode %v: recovered %d, want 1", opts.Sync, len(live))
-		}
+func TestAppendFailureCounted(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), Options{})
+	if err := s.Append(testRecord(OpRegister, "a", 1, 11)); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().WALAppends
+	// Pull the WAL file out from under the open store: the next write fails.
+	s.wal.Close()
+	if err := s.Append(testRecord(OpRegister, "b", 1, 22)); err == nil {
+		t.Fatal("append to a closed WAL file succeeded")
+	}
+	st := s.Stats()
+	if st.WALAppendFailures != 1 {
+		t.Errorf("WALAppendFailures = %d, want 1", st.WALAppendFailures)
+	}
+	if st.WALAppends != before {
+		t.Errorf("WALAppends = %d after a failed append, want %d", st.WALAppends, before)
 	}
 }
 

@@ -340,10 +340,14 @@ type Config struct {
 	// Slow is the tail-retention threshold: finished traces at least this
 	// slow are always kept. Zero disables the slow criterion.
 	Slow time.Duration
-	// RecentCap / RetainedCap bound the two rings (defaults 256 / 64).
-	RecentCap   int
-	RetainedCap int
+	// RecentCap bounds the ring of recent traces (default 256). Slow and
+	// error traces are also kept in a second ring of 64.
+	RecentCap int
 }
+
+// retainedCap bounds the ring of slow and error traces, which keeps them
+// through churn in the recent ring.
+const retainedCap = 64
 
 // Tracer decides sampling, records traces, and serves them for inspection.
 // A nil *Tracer is valid and disables tracing entirely.
@@ -360,9 +364,6 @@ func New(cfg Config) *Tracer {
 	if cfg.RecentCap <= 0 {
 		cfg.RecentCap = 256
 	}
-	if cfg.RetainedCap <= 0 {
-		cfg.RetainedCap = 64
-	}
 	if cfg.Sample < 0 {
 		cfg.Sample = 0
 	}
@@ -374,7 +375,7 @@ func New(cfg Config) *Tracer {
 		sample:   cfg.Sample,
 		slow:     cfg.Slow,
 		recent:   ring{buf: make([]*traceRec, cfg.RecentCap)},
-		retained: ring{buf: make([]*traceRec, cfg.RetainedCap)},
+		retained: ring{buf: make([]*traceRec, retainedCap)},
 	}
 }
 

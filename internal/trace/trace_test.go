@@ -117,7 +117,7 @@ func TestRemoteParentForcesAndSuppressesSampling(t *testing.T) {
 }
 
 func TestTailRetention(t *testing.T) {
-	tr := New(Config{Sample: 1, Slow: 10 * time.Millisecond, RecentCap: 2, RetainedCap: 8})
+	tr := New(Config{Sample: 1, Slow: 10 * time.Millisecond, RecentCap: 2})
 	finishAfter := func(name string, d time.Duration, fail bool) TraceID {
 		_, sp := tr.StartRoot(context.Background(), name, SpanContext{})
 		sp.SetError(fail)
@@ -143,7 +143,7 @@ func TestTailRetention(t *testing.T) {
 }
 
 func TestLateSpanPromotesTrace(t *testing.T) {
-	tr := New(Config{Sample: 1, Slow: 10 * time.Millisecond, RecentCap: 2, RetainedCap: 8})
+	tr := New(Config{Sample: 1, Slow: 10 * time.Millisecond, RecentCap: 2})
 	ctx, root := tr.StartRoot(context.Background(), "req", SpanContext{})
 	link := LinkFromContext(ctx)
 	root.Finish() // fast root: recent ring only
@@ -308,7 +308,7 @@ func TestDoubleFinishIsNoop(t *testing.T) {
 // under -race: many goroutines record overlapping traces while readers list
 // and export concurrently.
 func TestConcurrentCapture(t *testing.T) {
-	tr := New(Config{Service: "race", Sample: 0.5, Slow: time.Nanosecond, RecentCap: 16, RetainedCap: 8})
+	tr := New(Config{Service: "race", Sample: 0.5, Slow: time.Nanosecond, RecentCap: 16})
 	var wg, readers sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
