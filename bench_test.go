@@ -123,18 +123,6 @@ func BenchmarkTable6_Ablation(b *testing.B) {
 	report(b, func() string { return env.Table6(opts()) })
 }
 
-// BenchmarkPipelineTranslate measures single-query latency of the full
-// PURPLE pipeline (engineering metric, not in the paper).
-func BenchmarkPipelineTranslate(b *testing.B) {
-	env := benchEnv()
-	p := env.Purple(llm.ChatGPT)
-	dev := env.Corpus.Dev.Examples
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.Translate(dev[i%len(dev)])
-	}
-}
-
 // BenchmarkEngineBatch measures batch-translation throughput across
 // worker-pool sizes (engineering metric): the pipeline is CPU-bound and
 // deterministic, so throughput should scale near-linearly with workers up to
@@ -156,6 +144,27 @@ func BenchmarkEngineBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(dev)*b.N)/b.Elapsed().Seconds(), "queries/s")
 		})
+	}
+}
+
+// BenchmarkEngineBatchTranslate is the gated batch-engine benchmark
+// (BENCH_executor.txt): 24 dev tasks of a scale-0.05 corpus through a
+// 4-worker engine per iteration. It builds its own corpus, independent of
+// -bench-scale, so the committed numbers stay comparable.
+func BenchmarkEngineBatchTranslate(b *testing.B) {
+	b.ReportAllocs()
+	env := exp.NewEnv(1, 0.05)
+	p := env.Purple(llm.ChatGPT)
+	examples := env.Corpus.Dev.Examples
+	if len(examples) > 24 {
+		examples = examples[:24]
+	}
+	eng := core.NewEngine(p, 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := eng.TranslateBatch(context.Background(), examples); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

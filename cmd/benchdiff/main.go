@@ -1,20 +1,19 @@
-// Command benchdiff is the CI performance-regression gate: it compares a
-// freshly produced BENCH_*.json document against a committed baseline and
-// fails (exit 1) when any shared benchmark regressed more than the threshold
-// in ns/op. The seeded BENCH_executor.json / BENCH_catalog.json baselines
-// were uploaded-but-never-checked artifacts before this gate existed; with
-// it, a slowdown in the translate/execute hot path fails the build instead
-// of landing silently.
+// Command benchdiff is the CI performance-regression gate: it compares the
+// output of a fresh `go test -bench -benchmem` run against a committed
+// baseline in the same format (BENCH_*.txt) and fails (exit 1) when any
+// baseline benchmark regressed more than the threshold in ns/op, or did not
+// run at all.
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_executor.json -current /tmp/new.json
-//	benchdiff -baseline ... -current ... -threshold 0.30 -allow exec_group_by,prepared_reexec_ts
+//	go test -run '^$' -bench '^(BenchmarkA|BenchmarkB)$' -benchmem ./pkg > fresh/BENCH_x.txt
+//	benchdiff -baseline BENCH_x.txt -current fresh/BENCH_x.txt
+//	benchdiff -baseline ... -current ... -threshold 0.30 -allow BenchmarkExecGroupBy,BenchmarkPreparedReexec
 //	benchdiff -baseline ... -current ... -min-ns 500 -max-allocs-growth 0.10
 //
 // Semantics:
 //
-//   - A benchmark present in both documents with current ns/op more than
+//   - A benchmark present in both files with current ns/op more than
 //     (1+threshold)× the baseline is a regression — unless it is named in
 //     -allow (the escape hatch for intentional changes; note WHY in the PR).
 //   - Benchmarks below -min-ns baseline ns/op are compared but never fail
@@ -22,25 +21,31 @@
 //     relative threshold.
 //   - -max-allocs-growth > 0 additionally gates allocs/op, which is machine-
 //     independent and so can be held much tighter than time.
-//   - Benchmarks only in the baseline are reported as "not measured" (the
-//     -short artifact legitimately skips the corpus-building benchmarks);
-//     benchmarks only in the current document are reported as "new". Neither
-//     fails the gate.
+//   - A baseline benchmark missing from the current run fails the gate: a
+//     renamed benchmark or a -bench pattern that misses one must not
+//     silently leave it (a deliberate removal edits the baseline).
+//     Benchmarks only in the current run are reported as "new" and pass.
+//
+// Names are compared without the -N GOMAXPROCS suffix go test appends, so a
+// baseline taken on one machine gates a run on another.
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"strconv"
 	"strings"
-
-	"repro/internal/benchfmt"
 )
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "", "committed baseline BENCH_*.json (required)")
-		currentPath  = flag.String("current", "", "freshly produced BENCH_*.json (required)")
+		baselinePath = flag.String("baseline", "", "committed baseline BENCH_*.txt (required)")
+		currentPath  = flag.String("current", "", "fresh `go test -bench -benchmem` output (required)")
 		threshold    = flag.Float64("threshold", 0.30, "maximum tolerated ns/op growth as a fraction (0.30 = +30%)")
 		allowList    = flag.String("allow", "", "comma-separated benchmark names exempt from the gate (intentional changes)")
 		minNs        = flag.Float64("min-ns", 500, "skip gating benchmarks whose baseline ns/op is below this floor (jitter guard); they are still reported")
@@ -52,12 +57,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	base, err := benchfmt.ReadFile(*baselinePath)
+	base, err := readFile(*baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	cur, err := benchfmt.ReadFile(*currentPath)
+	cur, err := readFile(*currentPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
@@ -84,8 +89,9 @@ func main() {
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "\nbenchdiff: %d benchmark(s) regressed beyond the %.0f%% gate (see table); "+
-			"if intentional, pass -allow and justify it in the PR\n", failed, *threshold*100)
+		fmt.Fprintf(os.Stderr, "\nbenchdiff: %d benchmark(s) failed the %.0f%% gate (see table); "+
+			"pass -allow for an intentional regression, edit the baseline for a removed benchmark, "+
+			"and justify either in the PR\n", failed, *threshold*100)
 		os.Exit(1)
 	}
 	fmt.Printf("\nbenchdiff: ok (%d compared, gate %.0f%%)\n", len(deltas), *threshold*100)
@@ -103,6 +109,113 @@ func fmtPct(p float64) string {
 		return "-"
 	}
 	return fmt.Sprintf("%+.1f%%", p*100)
+}
+
+// Result is the part of one benchmark's measurements the gate reads.
+type Result struct {
+	Name        string // without the -N GOMAXPROCS suffix
+	NsPerOp     float64
+	AllocsPerOp int64
+}
+
+func readFile(path string) ([]Result, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	rs, err := parse(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
+	}
+	return rs, nil
+}
+
+// parse reads Go's benchmark text format, as `go test -bench -benchmem`
+// writes it: one line per result,
+//
+//	BenchmarkExecScanFilter-2   58860   20940 ns/op   37912 B/op   39 allocs/op
+//
+// Lines that do not start with "Benchmark" — configuration lines such as
+// "goos: linux", PASS, ok — are skipped. A line that does start with it must
+// parse: log output interleaved with a result is the realistic cause, and a
+// result read wrong would gate the wrong numbers. Each result needs a
+// finite positive ns/op and a non-negative allocs/op (without -benchmem
+// allocs would read as 0 and pass the allocs gate); other metric pairs, B/op
+// among them, are accepted and ignored.
+func parse(r io.Reader) ([]Result, error) {
+	var out []Result
+	seen := map[string]bool{}
+	sc := bufio.NewScanner(r)
+	for line := 1; sc.Scan(); line++ {
+		if !strings.HasPrefix(sc.Text(), "Benchmark") {
+			continue
+		}
+		res, err := parseResult(sc.Text())
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %v", line, err)
+		}
+		if seen[res.Name] {
+			return nil, fmt.Errorf("line %d: duplicate benchmark %s", line, res.Name)
+		}
+		seen[res.Name] = true
+		out = append(out, res)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(out) == 0 {
+		return nil, errors.New("no benchmark results")
+	}
+	return out, nil
+}
+
+func parseResult(line string) (Result, error) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 {
+		return Result{}, fmt.Errorf("malformed result %q", line)
+	}
+	if _, err := strconv.Atoi(f[1]); err != nil {
+		return Result{}, fmt.Errorf("malformed iteration count in %q", line)
+	}
+	r := Result{Name: trimProcs(f[0])}
+	hasAllocs := false
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return Result{}, fmt.Errorf("malformed %s value in %q", f[i+1], line)
+		}
+		switch f[i+1] {
+		case "ns/op":
+			r.NsPerOp = v
+		case "allocs/op":
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return Result{}, fmt.Errorf("%s: allocs/op %s is not a count", r.Name, f[i])
+			}
+			r.AllocsPerOp, hasAllocs = int64(v), true
+		}
+	}
+	if !(r.NsPerOp > 0) || math.IsInf(r.NsPerOp, 1) {
+		return Result{}, fmt.Errorf("%s: ns/op missing or not a positive number", r.Name)
+	}
+	if !hasAllocs {
+		return Result{}, fmt.Errorf("%s: no allocs/op (run with -benchmem)", r.Name)
+	}
+	return r, nil
+}
+
+// trimProcs drops the -N GOMAXPROCS suffix go test appends to a name.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 // Gate is the comparison policy.
@@ -130,13 +243,21 @@ type Delta struct {
 }
 
 // Compare evaluates cur against base under the gate, returning one row per
-// benchmark named in either document, in baseline-then-new order.
-func Compare(base, cur *benchfmt.Report, g Gate) []Delta {
+// benchmark named in either run, in baseline-then-new order.
+func Compare(base, cur []Result, g Gate) []Delta {
+	byName := func(rs []Result) map[string]Result {
+		m := make(map[string]Result, len(rs))
+		for _, r := range rs {
+			m[r.Name] = r
+		}
+		return m
+	}
+	baseBy, curBy := byName(base), byName(cur)
 	var out []Delta
-	for _, b := range base.Benchmarks {
-		c, ok := cur.Find(b.Name)
+	for _, b := range base {
+		c, ok := curBy[b.Name]
 		if !ok {
-			out = append(out, Delta{Name: b.Name, BaseNs: b.NsPerOp, Verdict: "not measured (skipped in current run)"})
+			out = append(out, Delta{Name: b.Name, BaseNs: b.NsPerOp, Verdict: "MISSING (not in current run)", Failed: true})
 			continue
 		}
 		d := Delta{Name: b.Name, BaseNs: b.NsPerOp, CurNs: c.NsPerOp, Pct: c.NsPerOp/b.NsPerOp - 1}
@@ -171,8 +292,8 @@ func Compare(base, cur *benchfmt.Report, g Gate) []Delta {
 		}
 		out = append(out, d)
 	}
-	for _, c := range cur.Benchmarks {
-		if _, ok := base.Find(c.Name); !ok {
+	for _, c := range cur {
+		if _, ok := baseBy[c.Name]; !ok {
 			out = append(out, Delta{Name: c.Name, CurNs: c.NsPerOp, Verdict: "new (no baseline)"})
 		}
 	}

@@ -1,6 +1,6 @@
 // Command nl2sql-loadgen drives a running nl2sql-server with configurable
 // HTTP load and emits a machine-readable JSON report (throughput, error
-// rate, p50/p95/p99 latency) in the BENCH_*.json schema family.
+// rate, p50/p95/p99 latency) under the benchfmt provenance header.
 //
 //	nl2sql-server -addr :8080 &
 //	nl2sql-loadgen -url http://localhost:8080 -duration 10s -workers 16

@@ -1,8 +1,8 @@
-// Package benchfix holds the synthetic benchmark fixture shared by the
-// executor micro-benchmarks (internal/sqlexec/bench_test.go) and the
-// machine-readable CI harness (cmd/benchmarks -json). Keeping one fixture
-// guarantees the BENCH_executor.json artifact measures exactly the workload
-// the in-repo benchmarks of the same name measure.
+// Package benchfix holds the synthetic fixtures the tests of several
+// packages share: the executor's three-table FK chain and workload SQL
+// (internal/sqlexec's tests and gated benchmarks) and the two-table tenant
+// database with its demonstrations (internal/catalog's and internal/store's
+// tests and benchmarks).
 package benchfix
 
 import (
@@ -31,9 +31,8 @@ const (
 	ScalarSubSQL  = "SELECT name FROM p WHERE grade = (SELECT MAX(grade) FROM p)"
 )
 
-// Canonical workload sizes. Both harnesses (go test -bench and
-// cmd/benchmarks -json) must use these so their ns/op figures are
-// comparable.
+// Canonical workload sizes of the gated executor benchmarks; changing one
+// invalidates BENCH_executor.txt.
 const (
 	// ExecRows sizes the child table for the single-execution benchmarks.
 	ExecRows = 1000

@@ -1,20 +1,14 @@
-// Package benchfmt defines the machine-readable performance-artifact schema
-// shared by the perf tooling: cmd/benchmarks emits it (the BENCH_*.json CI
-// artifacts), cmd/benchdiff compares two documents of it to gate regressions,
-// and the load generator's report embeds the same Header so every perf
-// artifact in the repo carries identical provenance fields.
+// Package benchfmt holds the provenance header the JSON performance reports
+// share: the load generator's and the scenario runner's reports embed the
+// same Header, so every such artifact carries identical provenance fields.
 package benchfmt
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"runtime"
 	"time"
 )
 
-// Header identifies when and where a perf artifact was produced. It is the
-// stable prefix of every artifact in the BENCH_*.json schema family.
+// Header identifies when and where a perf artifact was produced.
 type Header struct {
 	GeneratedUnix int64  `json:"generated_unix"`
 	GoVersion     string `json:"go_version"`
@@ -30,62 +24,4 @@ func NewHeader() Header {
 		GOOS:          runtime.GOOS,
 		GOARCH:        runtime.GOARCH,
 	}
-}
-
-// Result is one micro-benchmark's measurements.
-type Result struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// Report is the BENCH_*.json document: a header plus a benchmark list.
-type Report struct {
-	Header
-	// Short records whether the corpus-building benchmarks were skipped;
-	// workload sizes are identical either way, so short and full results
-	// stay comparable benchmark by benchmark.
-	Short      bool     `json:"short"`
-	Benchmarks []Result `json:"benchmarks"`
-}
-
-// Find returns the named result, or false.
-func (r *Report) Find(name string) (Result, bool) {
-	for _, b := range r.Benchmarks {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Result{}, false
-}
-
-// ReadFile loads and validates a report from path.
-func ReadFile(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("benchfmt: %s: %v", path, err)
-	}
-	if len(r.Benchmarks) == 0 {
-		return nil, fmt.Errorf("benchfmt: %s: no benchmarks in report", path)
-	}
-	seen := map[string]bool{}
-	for _, b := range r.Benchmarks {
-		if b.Name == "" {
-			return nil, fmt.Errorf("benchfmt: %s: unnamed benchmark", path)
-		}
-		if seen[b.Name] {
-			return nil, fmt.Errorf("benchfmt: %s: duplicate benchmark %q", path, b.Name)
-		}
-		seen[b.Name] = true
-		if b.NsPerOp <= 0 {
-			return nil, fmt.Errorf("benchfmt: %s: benchmark %q has non-positive ns/op", path, b.Name)
-		}
-	}
-	return &r, nil
 }

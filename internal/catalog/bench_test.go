@@ -3,6 +3,8 @@ package catalog
 import (
 	"context"
 	"fmt"
+	"log"
+	"log/slog"
 	"testing"
 	"time"
 
@@ -24,7 +26,19 @@ func benchCatalog(b *testing.B, cfg Config) *Catalog {
 	return c
 }
 
-func benchConfig() Config {
+// benchConfig is the catalog configuration every benchmark starts from.
+// Called first, it also discards the default logger's output until the
+// benchmark's last cleanup has run: registration, builds and evictions log
+// a line per tenant, and under go test those lines would land between a
+// benchmark's name and its numbers.
+func benchConfig(b *testing.B) Config {
+	prev, w, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.DiscardHandler))
+	b.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(w)
+		log.SetFlags(flags)
+	})
 	return Config{Client: llm.NewSim(llm.ChatGPT), Fallback: testFallback()}
 }
 
@@ -45,7 +59,7 @@ func roomyBuilds(b *testing.B) *jobs.Manager {
 // demo parsing, and warming-snapshot construction (the async model build is
 // excluded by design — that is the point of the warming state).
 func BenchmarkRegister(b *testing.B) {
-	cfg := benchConfig()
+	cfg := benchConfig(b)
 	cfg.MaxTenants = 1 << 20 // no eviction churn in the measurement
 	cfg.Jobs = roomyBuilds(b)
 	c := benchCatalog(b, cfg)
@@ -62,17 +76,18 @@ func BenchmarkRegister(b *testing.B) {
 // BenchmarkReregisterSwap measures the snapshot-swap path: version bump,
 // fingerprint invalidation and RCU publish over an existing tenant.
 func BenchmarkReregisterSwap(b *testing.B) {
-	cfg := benchConfig()
+	cfg := benchConfig(b)
+	cfg.MaxTenants = 1 << 20
 	cfg.Jobs = roomyBuilds(b)
 	c := benchCatalog(b, cfg)
 	demos := shopDemos()
-	if _, err := c.Register(Registration{DB: shopDB("swap"), Demos: demos}); err != nil {
+	if _, err := c.Register(Registration{DB: shopDB("t0"), Demos: demos}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Reregister(Registration{DB: shopDB("swap"), Demos: demos}); err != nil {
+		if _, err := c.Reregister(Registration{DB: shopDB("t0"), Demos: demos}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +99,7 @@ func BenchmarkReregisterSwap(b *testing.B) {
 // per register; the old per-victim rescan was O(victims × tenants) under
 // the writer lock.
 func BenchmarkRegisterStorm(b *testing.B) {
-	cfg := benchConfig()
+	cfg := benchConfig(b)
 	cfg.MaxTenants = 64
 	cfg.Jobs = roomyBuilds(b)
 	c := benchCatalog(b, cfg)
@@ -107,7 +122,7 @@ func BenchmarkRegisterStorm(b *testing.B) {
 // BenchmarkLookup measures the hot-path tenant resolution: two atomic
 // loads plus counter bumps, no locks.
 func BenchmarkLookup(b *testing.B) {
-	c := benchCatalog(b, benchConfig())
+	c := benchCatalog(b, benchConfig(b))
 	for i := 0; i < 16; i++ {
 		if _, err := c.Register(Registration{DB: shopDB(fmt.Sprintf("t%d", i)), Demos: shopDemos()}); err != nil {
 			b.Fatal(err)
@@ -128,7 +143,7 @@ func BenchmarkLookup(b *testing.B) {
 // should scale with available cores rather than collapse under contention —
 // run with -race locally to double as the contention regression check.
 func BenchmarkLookupParallel16(b *testing.B) {
-	c := benchCatalog(b, benchConfig())
+	c := benchCatalog(b, benchConfig(b))
 	for i := 0; i < 16; i++ {
 		if _, err := c.Register(Registration{DB: shopDB(fmt.Sprintf("t%d", i)), Demos: shopDemos()}); err != nil {
 			b.Fatal(err)
@@ -156,7 +171,7 @@ func BenchmarkLookupParallel16(b *testing.B) {
 // BenchmarkOracle measures question->demo resolution, the per-request cost
 // tenant-scoped translation adds on top of the pipeline.
 func BenchmarkOracle(b *testing.B) {
-	c := benchCatalog(b, benchConfig())
+	c := benchCatalog(b, benchConfig(b))
 	snap, err := c.Register(Registration{DB: shopDB("oracle"), Demos: shopDemos()})
 	if err != nil {
 		b.Fatal(err)

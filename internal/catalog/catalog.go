@@ -124,7 +124,7 @@ func (c Config) withDefaults() Config {
 
 // Tenant is one registered database. Snapshot is the only method hot paths
 // need; the Record* methods feed the per-tenant series on /v1/metrics. All
-// methods are safe for concurrent use without locks.
+// exported methods are safe for concurrent use without locks.
 type Tenant struct {
 	key  string // lower-cased name, the map key
 	snap atomic.Pointer[Snapshot]
@@ -142,10 +142,41 @@ type Tenant struct {
 	// storeBytes is the persisted snapshot size, the tenant's weight in the
 	// memory-budget accounting (0 without a store).
 	storeBytes atomic.Int64
+	// retired is the cache traffic of the snapshots the tenant has swapped
+	// out, guarded by Catalog.mu. Stats adds the current snapshot's, so the
+	// tenant's cache series count its lifetime and never go backwards.
+	retired cacheCounts
+}
+
+// cacheCounts is the LLM and plan cache traffic of one or more snapshots.
+type cacheCounts struct{ llmHits, llmMisses, planHits, planMisses int64 }
+
+func (a *cacheCounts) add(s *Snapshot) {
+	if s.Cache != nil {
+		cs := s.Cache.Stats()
+		a.llmHits += cs.Hits
+		a.llmMisses += cs.Misses
+	}
+	if s.Plans != nil {
+		ps := s.Plans.Stats()
+		a.planHits += int64(ps.Hits)
+		a.planMisses += int64(ps.Misses)
+	}
 }
 
 // Snapshot returns the tenant's current immutable snapshot.
 func (t *Tenant) Snapshot() *Snapshot { return t.snap.Load() }
+
+// publish makes next the tenant's snapshot. When next does not carry the
+// current snapshot's caches (re-registration, unload, reload), their
+// counts fold into t.retired first; a request still in flight on the old
+// snapshot may go uncounted. Callers hold Catalog.mu.
+func (t *Tenant) publish(next *Snapshot) {
+	if prev := t.snap.Load(); prev != nil && prev.Cache != next.Cache {
+		t.retired.add(prev)
+	}
+	t.snap.Store(next)
+}
 
 // RecordTranslate accounts one translation and its latency.
 func (t *Tenant) RecordTranslate(d time.Duration) {
@@ -172,11 +203,10 @@ type TenantStats struct {
 	// TranslateSeconds is the summed translation latency; divided by
 	// Translations it is the mean.
 	TranslateSeconds float64
-	// LLM cache counters for the tenant's current snapshot (zero for a
-	// stored stub).
-	CacheHits   int64
-	CacheMisses int64
-	// Plan cache counters for the tenant's prepared-statement cache.
+	// LLM and plan cache counters over every snapshot the tenant has
+	// served, not only the current one.
+	CacheHits       int64
+	CacheMisses     int64
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 }
@@ -425,7 +455,7 @@ func (c *Catalog) register(reg Registration, replace bool) (*Snapshot, error) {
 		}
 		c.logMutation(store.Record{Op: op, Key: key, Name: warming.Name, Version: version, Unix: warming.Registered.UnixNano()}, warming.Fingerprint)
 	}
-	t.snap.Store(warming)
+	t.publish(warming)
 	if old == nil {
 		c.swapTenants(func(m tenantMap) { m[key] = t })
 		c.evictOverCapLocked(t)
@@ -477,7 +507,7 @@ func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot) func(context.
 		// long enough for IdleTTL to lapse must not be idle-evicted the
 		// moment its training lands.
 		t.lastUsed.Store(c.now().UnixNano())
-		t.snap.Store(&ready)
+		t.publish(&ready)
 		c.counters.BuildsDone++
 		c.enforceBudgetLocked(t)
 		slog.Info("tenant build complete", "tenant", t.key, "version", ready.Version)
@@ -695,31 +725,30 @@ func (c *Catalog) Stats() Stats {
 	c.mu.Lock()
 	out := c.counters
 	out.StoreResidentBytes = c.residentBytes
-	c.mu.Unlock()
-	out.MaxTenants = c.cfg.MaxTenants
-	if c.cfg.Store != nil {
-		st := c.cfg.Store.Stats()
-		out.Store = &st
-	}
+	// Every snapshot swap holds c.mu, so under it a tenant's retired counts
+	// and its current snapshot's caches are read as one consistent pair.
 	for _, t := range *c.tenants.Load() {
 		s := t.Snapshot()
-		ts := TenantStats{
+		cc := t.retired
+		cc.add(s)
+		out.Tenants = append(out.Tenants, TenantStats{
 			Name:             s.Name,
 			State:            string(s.State),
 			Lookups:          t.lookups.Load(),
 			Translations:     t.translations.Load(),
 			Executions:       t.execs.Load(),
 			TranslateSeconds: time.Duration(t.translateNs.Load()).Seconds(),
-		}
-		if s.Cache != nil {
-			cs := s.Cache.Stats()
-			ts.CacheHits, ts.CacheMisses = cs.Hits, cs.Misses
-		}
-		if s.Plans != nil {
-			ps := s.Plans.Stats()
-			ts.PlanCacheHits, ts.PlanCacheMisses = int64(ps.Hits), int64(ps.Misses)
-		}
-		out.Tenants = append(out.Tenants, ts)
+			CacheHits:        cc.llmHits,
+			CacheMisses:      cc.llmMisses,
+			PlanCacheHits:    cc.planHits,
+			PlanCacheMisses:  cc.planMisses,
+		})
+	}
+	c.mu.Unlock()
+	out.MaxTenants = c.cfg.MaxTenants
+	if c.cfg.Store != nil {
+		st := c.cfg.Store.Stats()
+		out.Store = &st
 	}
 	sort.Slice(out.Tenants, func(i, j int) bool { return out.Tenants[i].Name < out.Tenants[j].Name })
 	return out

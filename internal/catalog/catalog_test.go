@@ -53,10 +53,9 @@ func newTestCatalog(t *testing.T, cfg Config) *Catalog {
 	return c
 }
 
-// shopDB and shopDemos come from the shared benchmark fixture so the
-// in-repo catalog benchmarks and cmd/benchmarks -json -set catalog measure
-// the same workload; extraCols varies the fingerprint across
-// re-registrations.
+// shopDB and shopDemos are the tenant fixture internal/benchfix shares
+// with the store tests; the catalog's tests and its gated benchmarks
+// register it. extraCols varies the fingerprint across re-registrations.
 func shopDB(name string, extraCols ...string) *schema.Database {
 	return benchfix.TenantDB(name, extraCols...)
 }

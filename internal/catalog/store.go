@@ -43,7 +43,7 @@ func (c *Catalog) recoverFromStore() {
 			Fingerprint: r.Fingerprint,
 			Registered:  time.Unix(0, r.RegisteredUnix),
 		}
-		t.snap.Store(stub)
+		t.publish(stub)
 		m[r.Key] = t
 		c.acquireFPLocked(r.Fingerprint)
 	}
@@ -98,7 +98,7 @@ func (c *Catalog) AdoptStored(name string) (*Snapshot, error) {
 		Fingerprint: fp,
 		Registered:  c.now(),
 	}
-	t.snap.Store(stub)
+	t.publish(stub)
 	c.acquireFPLocked(fp)
 	// The snapshot file already exists (the previous owner wrote it), so
 	// appending the register record directly keeps the store invariant that
@@ -190,7 +190,7 @@ func (c *Catalog) loadStored(t *Tenant, stub *Snapshot) bool {
 	if t.snap.Load() != stub {
 		return true // superseded concurrently; ensureLoaded re-examines
 	}
-	t.snap.Store(loaded)
+	t.publish(loaded)
 	t.storeBytes.Store(size)
 	c.residentBytes += size
 	if loaded.State == StateWarming && !c.closed {
@@ -239,7 +239,7 @@ func (c *Catalog) unloadLocked(t *Tenant) {
 		Registered:  s.Registered,
 		Built:       s.Built,
 	}
-	t.snap.Store(stub)
+	t.publish(stub)
 	c.residentBytes -= t.storeBytes.Load()
 	if c.residentBytes < 0 {
 		c.residentBytes = 0

@@ -175,13 +175,6 @@ func (p *Pipeline) Classifier() *classifier.Model { return p.clf }
 // Predictor exposes the trained skeleton model.
 func (p *Pipeline) Predictor() *predictor.Model { return p.pred }
 
-// Hierarchy exposes the constructed automaton hierarchy.
-func (p *Pipeline) Hierarchy() *automaton.Hierarchy { return p.hier }
-
-// Demos exposes the pre-rendered demonstrations, indexed like the training
-// set and the hierarchy's matches.
-func (p *Pipeline) Demos() []prompt.Demo { return p.demos }
-
 // Translate runs the full pipeline on one task.
 func (p *Pipeline) Translate(e *spider.Example) Translation {
 	return p.TranslateContext(context.Background(), e)

@@ -169,7 +169,7 @@ func TestGPT4BeatsChatGPT(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	p, _ := pipelineFixture(t, DefaultConfig())
-	if p.Classifier() == nil || p.Predictor() == nil || p.Hierarchy() == nil {
+	if p.Classifier() == nil || p.Predictor() == nil {
 		t.Error("accessors returned nil")
 	}
 	if p.Name() == "" {

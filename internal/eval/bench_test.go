@@ -12,23 +12,16 @@ import (
 // Benchmarks for the hottest repeat-execution loop in the repo: the TS
 // metric re-executes the same gold/pred pair across every distilled
 // database instance. BenchmarkExecTS measures the prepared-statement path
-// (plan once via the shared cache, execute per instance);
-// BenchmarkExecTSUnprepared measures the pre-refactor cost model
-// (parse + plan per instance).
+// (plan once via the shared cache, execute per instance) and is gated in
+// BENCH_executor.txt; BenchmarkExecTSUnprepared measures the pre-refactor
+// cost model (parse + plan per instance) on the same suite.
 
+// benchSuite is the gated fixture: the first dev example of a small corpus
+// and its distilled suite.
 func benchSuite(b *testing.B) (*Suite, *spider.Example) {
 	b.Helper()
 	c := spider.GenerateSmall(123, 0.05)
-	var ex *spider.Example
-	for _, e := range c.Dev.Examples {
-		if len(e.Gold.From.Joins) > 0 {
-			ex = e
-			break
-		}
-	}
-	if ex == nil {
-		ex = c.Dev.Examples[0]
-	}
+	ex := c.Dev.Examples[0]
 	suite := BuildSuite(ex.DB, []*sqlir.Select{ex.Gold}, DefaultSuiteConfig())
 	return suite, ex
 }

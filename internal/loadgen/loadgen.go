@@ -1,8 +1,9 @@
 // Package loadgen is the HTTP load generator for the nl2sql service: it
 // drives the real serving stack (router, middleware, JSON codecs, pipeline,
 // caches) rather than in-process benchmarks, and reports throughput, error
-// rate and latency percentiles in the BENCH_*.json schema family so the perf
-// trajectory of the HTTP path is as machine-checkable as the executor's.
+// rate and latency percentiles as a JSON report under the benchfmt
+// provenance header, so the perf trajectory of the HTTP path is as
+// machine-checkable as the executor's.
 //
 // Two driving disciplines:
 //
@@ -318,8 +319,8 @@ func (s *slowTracker) snapshot() []SlowTrace {
 	return append([]SlowTrace(nil), s.top...)
 }
 
-// Report is the run's machine-readable result, in the BENCH_*.json schema
-// family (same provenance header).
+// Report is the run's machine-readable result under the benchfmt
+// provenance header the scenario report also carries.
 type Report struct {
 	benchfmt.Header
 	// Mode is "closed" or "open".

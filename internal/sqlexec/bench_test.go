@@ -16,9 +16,10 @@ import (
 // prepared-statement layer) switched off, so the speedup of each rewrite is
 // directly visible in the numbers.
 //
-// The fixture (database shape and workload SQL) lives in internal/benchfix,
-// shared with cmd/benchmarks -json so the CI-uploaded BENCH_executor.json
-// measures exactly these workloads.
+// The fixture (database shape and workload SQL) lives in internal/benchfix.
+// CI runs the gated ones with `go test -bench -benchmem` and compares them
+// against BENCH_executor.txt; BenchmarkSetOp, BenchmarkSubquery,
+// BenchmarkPrepare and BenchmarkParse are not gated.
 
 func benchExecOpts(b *testing.B, rows int, sql string, opts PlanOptions) {
 	db := benchfix.DB(rows)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"net/http"
 	"testing"
 	"time"
 )
@@ -43,6 +44,12 @@ func TestDisabledPathAllocs(t *testing.T) {
 	}
 }
 
+// The gated benchmarks (BENCH_trace.txt). The disabled, nil-tracer and
+// unsampled paths are the overhead a request pays when tracing is off or
+// the head-sampling coin says no; benchdiff's allocs gate holds them at 0.
+// BenchmarkSpanStartFinish is the recorded path, and the traceparent pair
+// is the per-hop propagation cost the router pays on every proxied request.
+
 func BenchmarkSpanStartFinish(b *testing.B) {
 	// Full recorded lifecycle: root + one child per iteration, captured
 	// into the rings (retention disabled via an unreachable threshold).
@@ -69,6 +76,28 @@ func BenchmarkSpanDisabledNoop(b *testing.B) {
 	}
 }
 
+func BenchmarkSpanNilTracerNoop(b *testing.B) {
+	var tr *Tracer
+	bg := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, sp := tr.StartRoot(bg, "op", SpanContext{})
+		sp.Finish()
+	}
+}
+
+func BenchmarkSpanUnsampledRoot(b *testing.B) {
+	tr := New(Config{Service: "bench", Sample: 0})
+	bg := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, sp := tr.StartRoot(bg, "op", SpanContext{})
+		sp.Finish()
+	}
+}
+
 func BenchmarkTraceparentParse(b *testing.B) {
 	hdr := NewSpanContext(true).Header()
 	b.ReportAllocs()
@@ -77,5 +106,17 @@ func BenchmarkTraceparentParse(b *testing.B) {
 		if _, ok := ParseTraceparent(hdr); !ok {
 			b.Fatal("parse failed")
 		}
+	}
+}
+
+func BenchmarkTraceparentInject(b *testing.B) {
+	tr := New(Config{Service: "bench", Sample: 1, Slow: time.Hour})
+	ctx, root := tr.StartRoot(context.Background(), "bench", SpanContext{})
+	defer root.Finish()
+	h := make(http.Header, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Inject(ctx, h)
 	}
 }
