@@ -69,8 +69,8 @@ func TestEndToEndAdaptionNeverBreaksValidSQL(t *testing.T) {
 	c := integrationCorpus(t)
 	for _, e := range c.Dev.Examples {
 		f := &adaption.Fixer{DB: e.DB}
-		out, ok := f.Adapt(e.GoldSQL)
-		if !ok {
+		out, res := f.Adapt(e.GoldSQL)
+		if res == nil {
 			t.Fatalf("gold SQL reported unfixable: %s", e.GoldSQL)
 		}
 		if out != e.GoldSQL {

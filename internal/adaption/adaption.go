@@ -7,7 +7,6 @@ package adaption
 
 import (
 	"errors"
-	"sort"
 	"strings"
 
 	"repro/internal/schema"
@@ -25,22 +24,25 @@ type Fixer struct {
 }
 
 // Adapt repairs a SQL string until it executes or attempts are exhausted.
-// It returns the (possibly rewritten) SQL and whether it now executes.
-// Executable input is returned unchanged — the no-side-effect guarantee.
-func (f *Fixer) Adapt(sql string) (string, bool) {
+// It returns the (possibly rewritten) SQL and the result of its successful
+// execution, or a nil result when it still does not execute. Executable
+// input is returned unchanged — the no-side-effect guarantee.
+func (f *Fixer) Adapt(sql string) (string, *sqlexec.Result) {
 	sel, err := sqlir.Parse(sql)
 	if err != nil {
-		return sql, false
+		return sql, nil
 	}
 	for attempt := 0; attempt < MaxAttempts; attempt++ {
-		if _, err := sqlexec.Exec(f.DB, sel); err == nil {
-			return sqlir.String(sel), true
-		} else if !f.fix(sel, err) {
-			return sqlir.String(sel), false
+		res, err := sqlexec.Exec(f.DB, sel)
+		if err == nil {
+			return sqlir.String(sel), res
+		}
+		if !f.fix(sel, err) {
+			return sqlir.String(sel), nil
 		}
 	}
-	_, err = sqlexec.Exec(f.DB, sel)
-	return sqlir.String(sel), err == nil
+	res, _ := sqlexec.Exec(f.DB, sel) // a nil result reports the failure
+	return sqlir.String(sel), res
 }
 
 // fix applies one repair for the classified error; it reports whether any
@@ -333,59 +335,59 @@ func minInt(a, b, c int) int {
 }
 
 // Vote applies execution-consistency (Section IV-D2): each candidate is
-// adapted (when fix is true), executed, and the first SQL whose execution
-// result agrees with the majority result signature is returned. ok is false
-// when no candidate executes.
+// adapted (when fix is true) and executed, and the first candidate, in
+// sample order, whose result signature has the most votes is returned; a
+// tie goes to the lexicographically smallest signature. ok is false when no
+// candidate executes.
 //
-// Candidate execution goes through the shared plan cache: self-consistency
-// sampling routinely yields duplicate candidates within one vote (and
-// identical candidates across repair attempts), so most executions skip
-// parsing and planning.
+// Adaption and execution are pure functions of (db, sql), and
+// self-consistency sampling repeats itself (30 samples hold about four
+// distinct strings), so each distinct candidate is adapted and executed
+// once and its signature counted once per time it was sampled.
 func Vote(db *schema.Database, candidates []string, fix bool) (string, bool) {
 	f := &Fixer{DB: db}
-	type entry struct {
-		sql string
-		sig string
+	type tally struct {
+		sql   string // the first candidate with this signature, as adapted
+		sig   string
+		votes int
 	}
-	var entries []entry
-	counts := map[string]int{}
-	for _, sql := range candidates {
-		fixed := sql
-		if fix {
-			var ok bool
-			fixed, ok = f.Adapt(sql)
-			if !ok {
-				continue
+	bySig := map[string]*tally{}
+	byCandidate := map[string]*tally{} // nil: the candidate does not execute
+	for _, c := range candidates {
+		t, seen := byCandidate[c]
+		if !seen {
+			var res *sqlexec.Result
+			sql := c
+			if fix {
+				sql, res = f.Adapt(c)
+			} else {
+				res, _ = sqlexec.ExecSQL(db, c)
 			}
+			if res != nil {
+				sig := Signature(res)
+				if t = bySig[sig]; t == nil {
+					t = &tally{sql: sql, sig: sig}
+					bySig[sig] = t
+				}
+			}
+			byCandidate[c] = t
 		}
-		res, err := sqlexec.Shared.Exec(db, fixed)
-		if err != nil {
-			continue
+		if t != nil {
+			t.votes++
 		}
-		sig := Signature(res)
-		entries = append(entries, entry{fixed, sig})
-		counts[sig]++
 	}
-	if len(entries) == 0 {
+	// Most votes, then smallest signature: a total order, so the map's
+	// iteration order cannot change the winner.
+	var best *tally
+	for _, t := range bySig {
+		if best == nil || t.votes > best.votes || t.votes == best.votes && t.sig < best.sig {
+			best = t
+		}
+	}
+	if best == nil {
 		return "", false
 	}
-	bestSig, bestCount := "", -1
-	var sigs []string
-	for s := range counts {
-		sigs = append(sigs, s)
-	}
-	sort.Strings(sigs)
-	for _, s := range sigs {
-		if counts[s] > bestCount {
-			bestSig, bestCount = s, counts[s]
-		}
-	}
-	for _, e := range entries {
-		if e.sig == bestSig {
-			return e.sql, true
-		}
-	}
-	return entries[0].sql, true
+	return best.sql, true
 }
 
 // Signature canonically encodes an execution result for consensus voting:

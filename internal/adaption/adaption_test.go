@@ -49,7 +49,8 @@ func fixture() *schema.Database {
 func adapt(t *testing.T, sql string) (string, bool) {
 	t.Helper()
 	f := &Fixer{DB: fixture()}
-	return f.Adapt(sql)
+	out, res := f.Adapt(sql)
+	return out, res != nil
 }
 
 func TestValidSQLUnchanged(t *testing.T) {

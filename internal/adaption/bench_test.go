@@ -4,15 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/spider"
-	"repro/internal/sqlexec"
 )
 
 // BenchmarkConsistencyVote measures the Section IV-D2 execution-consistency
-// vote — the second-hottest repeat-execution loop after the TS metric. The
-// candidate set mirrors self-consistency sampling: duplicates dominate, so
-// the shared plan cache turns most candidate executions into plan-cache
-// hits. The Uncached variant resets the shared cache every iteration to
-// expose the pre-refactor parse+plan-per-candidate cost.
+// vote on a small candidate set shaped like self-consistency sampling:
+// duplicates dominate, so the vote adapts and executes two distinct
+// candidates (one of them repairable) and counts the duplicates. The
+// paper-scale vote over recorded samples is internal/core's gated
+// BenchmarkPipelineAdapt.
 
 func voteFixture(b *testing.B) (*spider.Corpus, []string) {
 	b.Helper()
@@ -32,18 +31,6 @@ func BenchmarkConsistencyVote(b *testing.B) {
 	db := c.Dev.Examples[0].DB
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := Vote(db, candidates, true); !ok {
-			b.Fatal("vote found no executable candidate")
-		}
-	}
-}
-
-func BenchmarkConsistencyVoteUncached(b *testing.B) {
-	c, candidates := voteFixture(b)
-	db := c.Dev.Examples[0].DB
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sqlexec.Shared.Reset() // every candidate pays parse + plan
 		if _, ok := Vote(db, candidates, true); !ok {
 			b.Fatal("vote found no executable candidate")
 		}

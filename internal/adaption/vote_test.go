@@ -1,0 +1,209 @@
+package adaption
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/llm"
+	"repro/internal/prompt"
+	"repro/internal/schema"
+	"repro/internal/spider"
+	"repro/internal/sqlexec"
+)
+
+// referenceVote is the per-candidate vote Vote replaced: every sampled
+// candidate is adapted, then executed again from its text through the
+// shared plan cache, and counted.
+func referenceVote(db *schema.Database, candidates []string, fix bool) (string, bool) {
+	f := &Fixer{DB: db}
+	type entry struct {
+		sql string
+		sig string
+	}
+	var entries []entry
+	counts := map[string]int{}
+	for _, sql := range candidates {
+		fixed := sql
+		if fix {
+			var res *sqlexec.Result
+			if fixed, res = f.Adapt(sql); res == nil {
+				continue
+			}
+		}
+		res, err := sqlexec.Shared.Exec(db, fixed)
+		if err != nil {
+			continue
+		}
+		sig := Signature(res)
+		entries = append(entries, entry{fixed, sig})
+		counts[sig]++
+	}
+	if len(entries) == 0 {
+		return "", false
+	}
+	bestSig, bestCount := "", -1
+	var sigs []string
+	for s := range counts {
+		sigs = append(sigs, s)
+	}
+	sort.Strings(sigs)
+	for _, s := range sigs {
+		if counts[s] > bestCount {
+			bestSig, bestCount = s, counts[s]
+		}
+	}
+	for _, e := range entries {
+		if e.sig == bestSig {
+			return e.sql, true
+		}
+	}
+	return entries[0].sql, true
+}
+
+// votePool holds candidates for the fixture database, grouped by what
+// adaption does with them. Several distinct texts share a result
+// signature, so random draws tie on signature counts and the winner must
+// be the first sample of the winning signature.
+var votePool = struct {
+	unparseable, repairable, unrepairable, valid []string
+}{
+	unparseable: []string{
+		"garbage((",
+		"SELECT FROM tv_channel",
+		"",
+	},
+	// One per Table 2 class, then an unknown table and a query needing
+	// several repairs.
+	repairable: []string{
+		"SELECT series_names FROM tv_channel",                                                // schema hallucination
+		"SELECT T2.title FROM cartoon AS T1 JOIN tv_channel AS T2 ON T1.channel_id = T2.id",  // table-column mismatch
+		"SELECT id FROM cartoon JOIN tv_channel ON channel_id = tv_channel.id",               // column ambiguity
+		"SELECT country FROM tv_channel WHERE cartoon.written_by = 'Todd Casey'",             // missing table
+		"SELECT CONCAT(series_name, ' ', country) FROM tv_channel",                           // function hallucination
+		"SELECT COUNT(DISTINCT series_name, country) FROM tv_channel",                        // aggregation hallucination
+		"SELECT country FROM tv_channels",                                                    // unknown table
+		"SELECT CONCAT(series_names, countrys) FROM tv_channels",                             // several rounds
+		"SELECT T1.title FROM cartoon AS T1 JOIN tv_channel AS T2 ON T1.channel_id = T2.ids", // join-key hallucination
+	},
+	unrepairable: []string{
+		"SELECT country FROM tv_channel WHERE country + 1 > 2",
+		"SELECT country FROM tv_channel UNION SELECT id, country FROM tv_channel",
+	},
+	valid: []string{
+		"SELECT country FROM tv_channel",
+		"SELECT country FROM tv_channel ORDER BY country ASC", // same signature as the unordered query
+		"SELECT country FROM tv_channel ORDER BY country DESC",
+		"SELECT country FROM tv_channel WHERE id = 1",
+		"SELECT country FROM tv_channel WHERE id < 2",
+		"SELECT series_name FROM tv_channel",
+		"SELECT title FROM cartoon",
+		"SELECT title FROM cartoon ORDER BY title DESC",
+		"SELECT COUNT(*) FROM tv_channel",
+		"SELECT COUNT(DISTINCT series_name) FROM tv_channel",
+		"SELECT id FROM cartoon",
+	},
+}
+
+func poolCandidates() []string {
+	var all []string
+	for _, g := range [][]string{votePool.unparseable, votePool.repairable, votePool.unrepairable, votePool.valid} {
+		all = append(all, g...)
+	}
+	return all
+}
+
+// checkAdaptResult fails unless Adapt's result has the signature of
+// executing the SQL Adapt returns, and a nil result means that SQL does not
+// execute.
+func checkAdaptResult(t *testing.T, db *schema.Database, candidate string) {
+	t.Helper()
+	f := &Fixer{DB: db}
+	sql, res := f.Adapt(candidate)
+	want, err := sqlexec.ExecSQL(db, sql)
+	switch {
+	case res == nil && err == nil:
+		t.Errorf("Adapt(%q) reported failure, but %q executes", candidate, sql)
+	case res != nil && err != nil:
+		t.Errorf("Adapt(%q) returned a result, but %q fails: %v", candidate, sql, err)
+	case res != nil && Signature(res) != Signature(want):
+		t.Errorf("Adapt(%q): result signature %q, executing %q gives %q", candidate, Signature(res), sql, Signature(want))
+	}
+}
+
+func TestAdaptReturnsItsExecution(t *testing.T) {
+	db := fixture()
+	for _, c := range poolCandidates() {
+		checkAdaptResult(t, db, c)
+	}
+	f := &Fixer{DB: db}
+	for _, c := range votePool.repairable {
+		if _, res := f.Adapt(c); res == nil {
+			t.Errorf("Adapt(%q) did not repair a repairable candidate", c)
+		}
+	}
+	for _, c := range append(append([]string{}, votePool.unparseable...), votePool.unrepairable...) {
+		if _, res := f.Adapt(c); res != nil {
+			t.Errorf("Adapt(%q) executed a candidate that cannot be repaired", c)
+		}
+	}
+}
+
+// drawMultiset samples n candidates from a few pool entries, so draws hold
+// duplicates and tie often.
+func drawMultiset(rng *rand.Rand, pool []string) []string {
+	picks := make([]string, 1+rng.Intn(5))
+	for i := range picks {
+		picks[i] = pool[rng.Intn(len(pool))]
+	}
+	out := make([]string, rng.Intn(31))
+	for i := range out {
+		out[i] = picks[rng.Intn(len(picks))]
+	}
+	return out
+}
+
+func checkVote(t *testing.T, db *schema.Database, cands []string) {
+	t.Helper()
+	for _, fix := range []bool{true, false} {
+		got, ok := Vote(db, cands, fix)
+		want, wantOK := referenceVote(db, cands, fix)
+		if got != want || ok != wantOK {
+			t.Fatalf("Vote(fix=%v) = %q, %v; per-candidate vote = %q, %v\ncandidates: %q", fix, got, ok, want, wantOK, cands)
+		}
+	}
+}
+
+func TestVoteMatchesPerCandidateVote(t *testing.T) {
+	db := fixture()
+	pool := poolCandidates()
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 3000; trial++ {
+		checkVote(t, db, drawMultiset(rng, pool))
+	}
+}
+
+// TestVoteMatchesPerCandidateVoteOnSampledSQL repeats the comparison on
+// simulated LLM samples for generated databases: each task's 30 zero-shot
+// completions, then random multisets drawn from them.
+func TestVoteMatchesPerCandidateVoteOnSampledSQL(t *testing.T) {
+	c := spider.GenerateSmall(5, 0.05)
+	sim := llm.NewSim(llm.ChatGPT)
+	rng := rand.New(rand.NewSource(29))
+	for _, e := range c.Dev.Examples[:min(60, len(c.Dev.Examples))] {
+		resp := sim.Complete(llm.Request{
+			Prompt:         prompt.Build("", nil, e.DB, e.NL, 0).Text,
+			N:              30,
+			Task:           e,
+			SchemaInPrompt: e.DB,
+			Seed:           int64(e.ID),
+		})
+		for _, sql := range resp.SQLs {
+			checkAdaptResult(t, e.DB, sql)
+		}
+		checkVote(t, e.DB, resp.SQLs)
+		for trial := 0; trial < 10; trial++ {
+			checkVote(t, e.DB, drawMultiset(rng, resp.SQLs))
+		}
+	}
+}

@@ -4,7 +4,7 @@
 // schema-linking errors (same composition, different schema items or
 // values), and execution errors bucketed by the Table 2 hallucination
 // classes. It turns benchmark runs into the diagnostic evidence behind
-// Figures 1 and 9.
+// Figure 1.
 package analysis
 
 import (

@@ -150,7 +150,7 @@ func (s *DINSQL) Translate(e *spider.Example) core.Translation {
 	}
 	// DIN-SQL's self-correction pass: repair non-executable output.
 	f := &adaption.Fixer{DB: e.DB}
-	if fixed, ok := f.Adapt(resp.SQLs[0]); ok {
+	if fixed, res := f.Adapt(resp.SQLs[0]); res != nil {
 		out.SQL = fixed
 	} else {
 		out.SQL = resp.SQLs[0]

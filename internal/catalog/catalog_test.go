@@ -251,7 +251,10 @@ func TestLRUEvictionAtCap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Touch cap1 so cap0 is the LRU victim.
+	// Let both builds land first (a finished build refreshes its tenant's
+	// recency), then touch cap1 so cap0 is the LRU victim.
+	waitReady(t, c, "cap0")
+	waitReady(t, c, "cap1")
 	time.Sleep(time.Millisecond)
 	if _, ok := c.Lookup("cap1"); !ok {
 		t.Fatal("cap1 missing")

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/adaption"
 	"repro/internal/llm"
 	"repro/internal/prompt"
 	"repro/internal/selection"
@@ -13,8 +14,8 @@ import (
 )
 
 // PURPLE's per-question stages on the paper-scale corpus (scale 1.0: 8,659
-// training demonstrations), gated in BENCH_pipeline.txt. Both benchmarks
-// cycle over the same first pipelineTasks dev tasks of the pipeline the
+// training demonstrations), gated in BENCH_pipeline.txt. Every benchmark
+// cycles over the same first pipelineTasks dev tasks of the pipeline the
 // server builds.
 
 // pipelineTasks is how many dev tasks the pipeline benchmarks cycle over.
@@ -34,6 +35,19 @@ func paperPipeline() (*Pipeline, []*spider.Example) {
 		paperTasks = corpus.Dev.Examples[:pipelineTasks]
 	})
 	return paperPipe, paperTasks
+}
+
+// BenchmarkPipelinePredict is skeleton prediction: the top-k skeletons for
+// a dev task's question.
+func BenchmarkPipelinePredict(b *testing.B) {
+	p, tasks := paperPipeline()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(p.pred.Predict(tasks[i%len(tasks)].NL, p.cfg.TopK)) != p.cfg.TopK {
+			b.Fatal("short beam")
+		}
+	}
 }
 
 // BenchmarkPipelineSelect is demonstration selection as the pipeline runs
@@ -77,6 +91,44 @@ func BenchmarkPipelineTranslate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if p.TranslateContext(ctx, tasks[i%len(tasks)]).SQL == "" {
 			b.Fatal("empty translation")
+		}
+	}
+}
+
+// recordingClient forwards to its LLM client and keeps the last response's
+// completions.
+type recordingClient struct {
+	llm.Client
+	last []string
+}
+
+func (r *recordingClient) Complete(req llm.Request) llm.Response {
+	resp := r.Client.Complete(req)
+	r.last = resp.SQLs
+	return resp
+}
+
+// BenchmarkPipelineAdapt is database adaption and the execution-consistency
+// vote over a dev task's 30 sampled completions, recorded once from a
+// translation by the same pipeline.
+func BenchmarkPipelineAdapt(b *testing.B) {
+	p, tasks := paperPipeline()
+	rec := &recordingClient{Client: p.client}
+	recorder := *p
+	recorder.client = rec
+	samples := make([][]string, len(tasks))
+	for i, e := range tasks {
+		recorder.Translate(e)
+		if samples[i] = rec.last; len(samples[i]) != p.cfg.Consistency {
+			b.Fatalf("task %d: %d completions", e.ID, len(samples[i]))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(tasks)
+		if sql, ok := adaption.Vote(tasks[k].DB, samples[k], true); ok && sql == "" {
+			b.Fatal("empty winning candidate")
 		}
 	}
 }

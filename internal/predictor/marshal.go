@@ -8,10 +8,13 @@ import (
 )
 
 // skelWire / modelWire are the exported mirrors of the trained state used
-// for serialization. Skeleton order is preserved (it is the deterministic
-// tie-break order of Predict), keys are re-derived from tokens, and the
-// runtime noise knobs (Noise, Rng) are deliberately not persisted — a
-// restored model is the clean trained artifact.
+// for serialization: per-class word counts, from which UnmarshalBinary
+// rebuilds the word→class index and its logarithms (Vocab is always the set
+// of counted words, so the index's keys restore it). Skeleton order is
+// preserved (it is the class order Predict scores and draws noise in), keys
+// are re-derived from tokens, and the runtime noise knobs (Noise, Rng) are
+// deliberately not persisted — a restored model is the clean trained
+// artifact.
 type skelWire struct {
 	Tokens    []string
 	Count     float64
@@ -27,14 +30,24 @@ type modelWire struct {
 
 // MarshalBinary encodes the trained model for the tenant snapshot store.
 func (m *Model) MarshalBinary() ([]byte, error) {
-	w := modelWire{Vocab: m.vocab, TotalDocs: m.totalDocs}
-	for _, sc := range m.skeletons {
-		w.Skeletons = append(w.Skeletons, skelWire{
+	w := modelWire{
+		Skeletons: make([]skelWire, len(m.skeletons)),
+		Vocab:     make(map[string]bool, len(m.index)),
+		TotalDocs: m.totalDocs,
+	}
+	for i, sc := range m.skeletons {
+		w.Skeletons[i] = skelWire{
 			Tokens:    sc.tokens,
 			Count:     sc.count,
-			WordCount: sc.wordCount,
+			WordCount: map[string]float64{},
 			WordTotal: sc.wordTotal,
-		})
+		}
+	}
+	for word, ps := range m.index {
+		w.Vocab[word] = true
+		for _, p := range ps {
+			w.Skeletons[p.class].WordCount[word] = p.count
+		}
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -49,25 +62,21 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return fmt.Errorf("predictor: decode: %w", err)
 	}
-	m.skeletons = m.skeletons[:0]
-	for _, sc := range w.Skeletons {
-		wc := sc.WordCount
-		if wc == nil {
-			wc = map[string]float64{}
-		}
-		m.skeletons = append(m.skeletons, skelClass{
+	m.skeletons = make([]skelClass, len(w.Skeletons))
+	m.index = make(map[string][]posting, len(w.Vocab))
+	for i, sc := range w.Skeletons {
+		m.skeletons[i] = skelClass{
 			tokens:    sc.Tokens,
 			key:       strings.Join(sc.Tokens, " "),
 			count:     sc.Count,
-			wordCount: wc,
 			wordTotal: sc.WordTotal,
-		})
-	}
-	m.vocab = w.Vocab
-	if m.vocab == nil {
-		m.vocab = map[string]bool{}
+		}
+		for word, n := range sc.WordCount {
+			m.index[word] = append(m.index[word], posting{class: i, count: n})
+		}
 	}
 	m.totalDocs = w.TotalDocs
 	m.Noise, m.Rng = 0, nil
+	m.precompute()
 	return nil
 }

@@ -20,8 +20,8 @@
 // prepare.go adds a prepared-statement layer on top: Prepare compiles a
 // query once into a reusable, concurrency-safe *Stmt, and PlanCache keys
 // compiled statements by (database schema, SQL text) so the repeat-execution
-// paths — the TS metric, the consistency vote, the /execute endpoint — skip
-// parsing and planning entirely on a hit.
+// paths — the EX/TS metrics, the /execute endpoint — skip parsing and
+// planning entirely on a hit.
 package sqlexec
 
 import (

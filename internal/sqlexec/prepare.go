@@ -111,9 +111,9 @@ func NewPlanCache(capacity int) *PlanCache {
 }
 
 // Shared is the process-wide plan cache used by the repeat-execution call
-// sites: the EX/TS metrics in internal/eval, the consistency vote in
-// internal/adaption, and the service's /execute endpoint. Its counters are
-// exported on /v1/metrics as plan_cache_*{cache="shared"}.
+// sites: the EX/TS metrics in internal/eval and the service's /execute
+// endpoint. Its counters are exported on /v1/metrics as
+// plan_cache_*{cache="shared"}.
 var Shared = NewPlanCache(512)
 
 // Prepare returns a cached statement for (db's schema, sql), compiling and
@@ -164,7 +164,7 @@ func (c *PlanCache) prepare(db *schema.Database, sql string) (*Stmt, bool, error
 
 // Exec prepares sql through the cache and executes it against db — the
 // one cached-execution sequence shared by every repeat-execution call site
-// (EX/TS metrics, consistency vote, /execute).
+// (EX/TS metrics, /execute).
 func (c *PlanCache) Exec(db *schema.Database, sql string) (*Result, error) {
 	stmt, err := c.Prepare(db, sql)
 	if err != nil {
