@@ -127,7 +127,7 @@ func NewDINSQL(client llm.Client, train []*spider.Example, poolSize int, seed in
 	d := &DINSQL{Client: client, Seed: seed}
 	for i := 0; i < poolSize && i < len(keys); i++ {
 		e := groups[keys[i]].first
-		d.fixed = append(d.fixed, demoFor(e))
+		d.fixed = append(d.fixed, core.RenderDemo(e))
 	}
 	return d
 }
@@ -168,7 +168,6 @@ type DAILSQL struct {
 	MaxTokens int
 	Seed      int64
 
-	train []*spider.Example
 	demos []prompt.Demo
 	kws   [][]string // keyword set per demo
 	words []map[string]bool
@@ -176,9 +175,9 @@ type DAILSQL struct {
 
 // NewDAILSQL prepares the demonstration pool.
 func NewDAILSQL(client llm.Client, pred *predictor.Model, train []*spider.Example, maxTokens int, seed int64) *DAILSQL {
-	d := &DAILSQL{Client: client, Pred: pred, MaxTokens: maxTokens, Seed: seed, train: train}
+	d := &DAILSQL{Client: client, Pred: pred, MaxTokens: maxTokens, Seed: seed}
 	for _, e := range train {
-		d.demos = append(d.demos, demoFor(e))
+		d.demos = append(d.demos, core.RenderDemo(e))
 		d.kws = append(d.kws, keywordSet(sqlir.Skeleton(e.Gold)))
 		d.words = append(d.words, wordSet(e.NL))
 	}
@@ -261,25 +260,6 @@ func (s *PLMDirect) Translate(e *spider.Example) core.Translation {
 }
 
 // ---- shared helpers ----
-
-// demoFor renders one training example as a pruned prompt demonstration.
-func demoFor(e *spider.Example) prompt.Demo {
-	usedT, usedC := classifier.UsedItems(e.Gold, e.DB)
-	var keep []string
-	keepCols := map[string]map[string]bool{}
-	for t := range usedT {
-		keep = append(keep, t)
-		keepCols[t] = map[string]bool{}
-	}
-	for tc := range usedC {
-		if i := strings.IndexByte(tc, '.'); i > 0 {
-			if cols, ok := keepCols[tc[:i]]; ok {
-				cols[tc[i+1:]] = true
-			}
-		}
-	}
-	return prompt.Demo{DB: e.DB.Prune(keep, keepCols), NL: e.NL, SQL: e.GoldSQL}
-}
 
 // keywordSet extracts the keyword multiset-as-set from skeleton tokens (the
 // order-insensitive similarity DAIL-SQL uses).

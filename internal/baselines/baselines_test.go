@@ -92,7 +92,7 @@ func TestDINFixedPoolIsDeterministic(t *testing.T) {
 		t.Fatalf("pool sizes differ or empty: %d vs %d", len(a.fixed), len(b.fixed))
 	}
 	for i := range a.fixed {
-		if a.fixed[i].SQL != b.fixed[i].SQL {
+		if a.fixed[i].Text != b.fixed[i].Text {
 			t.Error("fixed pool not deterministic")
 		}
 	}
@@ -107,24 +107,5 @@ func TestJaccard(t *testing.T) {
 	}
 	if got := jaccard([]string{"a", "b"}, []string{"b", "c"}); got < 0.32 || got > 0.34 {
 		t.Errorf("jaccard = %f, want 1/3", got)
-	}
-}
-
-func TestDemoForPrunesSchema(t *testing.T) {
-	c, _, _ := fixtures(t)
-	e := c.Train.Examples[0]
-	d := demoFor(e)
-	var before, after int
-	for _, tb := range e.DB.Tables {
-		before += len(tb.Columns)
-	}
-	for _, tb := range d.DB.Tables {
-		after += len(tb.Columns)
-	}
-	if after > before {
-		t.Errorf("demo schema grew: %d -> %d", before, after)
-	}
-	if d.SQL != e.GoldSQL || d.NL != e.NL {
-		t.Error("demo content mismatch")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/adaption"
+	"repro/internal/classifier"
 	"repro/internal/llm"
 	"repro/internal/prompt"
 	"repro/internal/selection"
@@ -37,6 +38,22 @@ func paperPipeline() (*Pipeline, []*spider.Example) {
 	return paperPipe, paperTasks
 }
 
+// BenchmarkPipelinePrune is schema pruning: the classifier keeps the
+// tables and columns a dev task's question needs, with the pipeline's
+// pruning configuration.
+func BenchmarkPipelinePrune(b *testing.B) {
+	p, tasks := paperPipeline()
+	cfg := p.pruneConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := tasks[i%len(tasks)]
+		if len(classifier.Prune(p.clf, e.NL, e.DB, cfg).DB.Tables) == 0 {
+			b.Fatal("every table pruned")
+		}
+	}
+}
+
 // BenchmarkPipelinePredict is skeleton prediction: the top-k skeletons for
 // a dev task's question.
 func BenchmarkPipelinePredict(b *testing.B) {
@@ -50,10 +67,11 @@ func BenchmarkPipelinePredict(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineSelect is demonstration selection as the pipeline runs
-// it: Select over the automaton hierarchy for a dev task's top-k predicted
-// skeletons (predicted once, up front), pulled by prompt.Build into the
-// default 3,072-token prompt, with the random fill re-seeded per task.
+// BenchmarkPipelineSelect is demonstration selection and prompt assembly as
+// the pipeline runs them: Select over the automaton hierarchy for a dev
+// task's top-k predicted skeletons (predicted once, up front), re-seeding
+// the random fill per task, and prompt.Build pulling the pre-rendered
+// demonstration blocks that fit the default 3,072-token prompt.
 func BenchmarkPipelineSelect(b *testing.B) {
 	p, tasks := paperPipeline()
 	preds := make([][][]string, len(tasks))

@@ -110,15 +110,15 @@ type Pipeline struct {
 	clf    *classifier.Model
 	pred   *predictor.Model
 	hier   *automaton.Hierarchy
-	train  []*spider.Example
-	demos  []prompt.Demo // pre-rendered demonstrations, aligned with train
+	demos  []prompt.Demo // each training example's prompt block, rendered once, in training order
 	allIdx []int
 }
 
 // New builds a PURPLE pipeline: trains the pruning classifier and the
 // skeleton predictor on the demonstration set, constructs the four-level
-// automaton hierarchy, and pre-renders each demonstration with its schema
-// pruned to the items its gold SQL uses (Section III-A).
+// automaton hierarchy, and renders each demonstration once as its prompt
+// block, with its schema pruned to the items its gold SQL uses (Section
+// III-A). The pipeline keeps only the rendered text, not the pruned schemas.
 func New(train []*spider.Example, client llm.Client, cfg Config) *Pipeline {
 	return NewWithModels(train, client, cfg, classifier.Train(train), predictor.Train(train))
 }
@@ -132,21 +132,21 @@ func NewWithModels(train []*spider.Example, client llm.Client, cfg Config, clf *
 		client: client,
 		clf:    clf,
 		pred:   pred,
-		train:  train,
 	}
 	var skeletons [][]string
 	for i, e := range train {
 		skeletons = append(skeletons, sqlir.Skeleton(e.Gold))
-		p.demos = append(p.demos, renderDemo(e))
+		p.demos = append(p.demos, RenderDemo(e))
 		p.allIdx = append(p.allIdx, i)
 	}
 	p.hier = automaton.BuildHierarchy(skeletons)
 	return p
 }
 
-// renderDemo prunes a demonstration's schema to its gold-used items and
-// formats it for prompting.
-func renderDemo(e *spider.Example) prompt.Demo {
+// RenderDemo renders a training example as its prompt demonstration: its
+// schema pruned to the tables and columns its gold SQL uses, its question
+// and its gold SQL. The pruned schema is dropped once the block is written.
+func RenderDemo(e *spider.Example) prompt.Demo {
 	usedT, usedC := classifier.UsedItems(e.Gold, e.DB)
 	var keep []string
 	keepCols := map[string]map[string]bool{}
@@ -161,8 +161,15 @@ func renderDemo(e *spider.Example) prompt.Demo {
 			}
 		}
 	}
-	pruned := e.DB.Prune(keep, keepCols)
-	return prompt.Demo{DB: pruned, NL: e.NL, SQL: e.GoldSQL}
+	return prompt.NewDemo(e.DB.Prune(keep, keepCols), e.NL, e.GoldSQL)
+}
+
+// pruneConfig is schema pruning's configuration for a task's question.
+func (p *Pipeline) pruneConfig() classifier.PruneConfig {
+	return classifier.PruneConfig{
+		TauP: p.cfg.TauP, TauN: p.cfg.TauN,
+		UseSteiner: p.cfg.UseSteinerTree, TopK1: 4, TopK2: 5,
+	}
 }
 
 // Name implements Translator.
@@ -198,11 +205,7 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 	taskDB := e.DB
 	if p.cfg.UseSchemaPruning {
 		_, sp := trace.StartSpan(ctx, "pipeline.prune")
-		pcfg := classifier.PruneConfig{
-			TauP: p.cfg.TauP, TauN: p.cfg.TauN,
-			UseSteiner: p.cfg.UseSteinerTree, TopK1: 4, TopK2: 5,
-		}
-		taskDB = classifier.Prune(p.clf, e.NL, taskDB, pcfg).DB
+		taskDB = classifier.Prune(p.clf, e.NL, taskDB, p.pruneConfig()).DB
 		sp.SetAttrs(trace.Int("tables_kept", int64(len(taskDB.Tables))))
 		sp.Finish()
 	}

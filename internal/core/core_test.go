@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/eval"
 	"repro/internal/llm"
+	"repro/internal/prompt"
 	"repro/internal/spider"
 	"repro/internal/trace"
 )
@@ -175,4 +177,38 @@ func TestAccessors(t *testing.T) {
 	if p.Name() == "" {
 		t.Error("empty name")
 	}
+}
+
+// TestRenderDemoPrunesSchema: a demonstration's block carries its question
+// and gold SQL over a schema pruned to what the SQL uses, so it is no longer
+// than the block over the whole schema and leaves out a table the SQL does
+// not name.
+func TestRenderDemoPrunesSchema(t *testing.T) {
+	c := spider.GenerateSmall(55, 0.06)
+	for _, e := range c.Train.Examples {
+		unused := ""
+		for _, tb := range e.DB.Tables {
+			if !strings.Contains(strings.ToLower(e.GoldSQL), strings.ToLower(tb.Name)) {
+				unused = tb.Name
+				break
+			}
+		}
+		if unused == "" {
+			continue
+		}
+		d, full := RenderDemo(e), prompt.NewDemo(e.DB, e.NL, e.GoldSQL)
+		if len(d.Text) > len(full.Text) || d.Tokens != prompt.Tokens(d.Text) {
+			t.Errorf("pruned block is %d bytes (%d tokens), the unpruned one %d", len(d.Text), d.Tokens, len(full.Text))
+		}
+		for _, want := range []string{prompt.QueryPrefix + " " + e.NL + "\n", prompt.SQLPrefix + " " + e.GoldSQL + "\n"} {
+			if !strings.Contains(d.Text, want) {
+				t.Errorf("block lacks %q:\n%s", want, d.Text)
+			}
+		}
+		if line := "\n  " + unused + "("; strings.Contains(d.Text, line) || !strings.Contains(full.Text, line) {
+			t.Errorf("table %s, which %q does not use, is in the pruned block:\n%s", unused, e.GoldSQL, d.Text)
+		}
+		return
+	}
+	t.Fatal("no training example leaves a table of its schema unused")
 }

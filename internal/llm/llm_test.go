@@ -29,7 +29,7 @@ func corpus() *spider.Corpus { return spider.GenerateSmall(21, 0.08) }
 func buildPrompt(e *spider.Example, demoSQLs ...string) string {
 	var demos []prompt.Demo
 	for _, sql := range demoSQLs {
-		demos = append(demos, prompt.Demo{DB: e.DB, NL: "demo question", SQL: sql})
+		demos = append(demos, prompt.NewDemo(e.DB, "demo question", sql))
 	}
 	return prompt.Build("", slices.Values(demos), e.DB, e.NL, 0).Text
 }

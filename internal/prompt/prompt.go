@@ -15,11 +15,25 @@ import (
 // Tokens estimates the LLM token count of a string.
 func Tokens(s string) int { return (len(s) + 3) / 4 }
 
-// Demo is one formatted demonstration.
+// Demo is one demonstration rendered as its prompt block: the header, the
+// pruned schema, the question and its SQL. Its text never changes, so a
+// pipeline renders each demonstration once and every prompt copies it.
 type Demo struct {
-	DB  *schema.Database // already pruned to the demo's relevant items
-	NL  string
-	SQL string
+	Text   string
+	Tokens int // Tokens(Text)
+}
+
+// NewDemo renders a demonstration of nl and sql over db, a schema already
+// pruned to the items sql uses.
+func NewDemo(db *schema.Database, nl, sql string) Demo {
+	var sb strings.Builder
+	sb.WriteString(DemoHeader)
+	sb.WriteByte('\n')
+	writeSchema(&sb, db)
+	sb.WriteString(QueryPrefix + " " + nl + "\n")
+	sb.WriteString(SQLPrefix + " " + sql + "\n\n")
+	text := sb.String()
+	return Demo{Text: text, Tokens: Tokens(text)}
 }
 
 // Markers used by the prompt format; the simulated LLM parses them back out
@@ -44,7 +58,8 @@ type Result struct {
 // first); demonstrations are pulled from demos in preference order and
 // added until the first one that does not fit, after which Build pulls no
 // more. A nil demos builds a zero-shot prompt. maxTokens <= 0 means
-// unlimited.
+// unlimited. Demonstrations come rendered: Build collects the blocks that
+// fit and copies each once, into a text grown to its final length.
 func Build(instructions string, demos iter.Seq[Demo], taskDB *schema.Database, nl string, maxTokens int) Result {
 	var task strings.Builder
 	task.WriteString(TaskHeader)
@@ -53,39 +68,41 @@ func Build(instructions string, demos iter.Seq[Demo], taskDB *schema.Database, n
 	task.WriteString(QueryPrefix + " " + nl + "\n")
 	task.WriteString(SQLPrefix)
 
-	var sb strings.Builder
+	var head string
 	if instructions != "" {
-		sb.WriteString(instructions)
-		sb.WriteByte('\n')
+		head = instructions + "\n"
 	}
-	budget := maxTokens - Tokens(task.String()) - Tokens(sb.String())
+	budget := maxTokens - Tokens(task.String()) - Tokens(head)
+	size := len(head) + task.Len()
 
-	used := 0
+	// A prompt at the default 3,072-token budget holds ~58 demonstrations,
+	// so collecting them allocates this one array.
+	var first [64]Demo
+	kept := first[:0]
 	if demos == nil {
 		demos = func(func(Demo) bool) {}
 	}
 	for d := range demos {
-		var ds strings.Builder
-		ds.WriteString(DemoHeader)
-		ds.WriteByte('\n')
-		writeSchema(&ds, d.DB)
-		ds.WriteString(QueryPrefix + " " + d.NL + "\n")
-		ds.WriteString(SQLPrefix + " " + d.SQL + "\n\n")
-		cost := Tokens(ds.String())
-		if maxTokens > 0 && cost > budget {
+		if maxTokens > 0 && d.Tokens > budget {
 			break
 		}
-		sb.WriteString(ds.String())
-		budget -= cost
-		used++
+		kept = append(kept, d)
+		budget -= d.Tokens
+		size += len(d.Text)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	sb.WriteString(head)
+	for _, d := range kept {
+		sb.WriteString(d.Text)
 	}
 	sb.WriteString(task.String())
 	text := sb.String()
-	return Result{Text: text, DemosUsed: used, InputTokens: Tokens(text)}
+	return Result{Text: text, DemosUsed: len(kept), InputTokens: Tokens(text)}
 }
 
-// writeSchema renders a compact schema block with representative values for
-// text columns (the BRIDGE-style value hints the paper adopts).
+// writeSchema renders a compact schema block: one line per table with its
+// column names, then one line per foreign key.
 func writeSchema(sb *strings.Builder, db *schema.Database) {
 	if db == nil {
 		return

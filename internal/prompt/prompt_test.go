@@ -1,11 +1,14 @@
 package prompt
 
 import (
+	"iter"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/classifier"
 	"repro/internal/schema"
+	"repro/internal/spider"
 )
 
 func demoDB() *schema.Database {
@@ -33,7 +36,7 @@ func TestTokens(t *testing.T) {
 }
 
 func TestBuildContainsSections(t *testing.T) {
-	demos := []Demo{{DB: demoDB(), NL: "How many singers?", SQL: "SELECT COUNT(*) FROM singer"}}
+	demos := []Demo{NewDemo(demoDB(), "How many singers?", "SELECT COUNT(*) FROM singer")}
 	r := Build("-- inst", slices.Values(demos), demoDB(), "List names.", 0)
 	for _, want := range []string{"-- inst", DemoHeader, TaskHeader, "singer(id, name)", "Q: List names.", "SQL: SELECT COUNT(*) FROM singer", "FK singer.id -> band.id"} {
 		if !strings.Contains(r.Text, want) {
@@ -51,7 +54,7 @@ func TestBuildContainsSections(t *testing.T) {
 func TestBudgetLimitsDemos(t *testing.T) {
 	var demos []Demo
 	for i := 0; i < 50; i++ {
-		demos = append(demos, Demo{DB: demoDB(), NL: "How many singers are there in total?", SQL: "SELECT COUNT(*) FROM singer"})
+		demos = append(demos, NewDemo(demoDB(), "How many singers are there in total?", "SELECT COUNT(*) FROM singer"))
 	}
 	small := Build("", slices.Values(demos), demoDB(), "List names.", 300)
 	large := Build("", slices.Values(demos), demoDB(), "List names.", 2000)
@@ -71,10 +74,11 @@ func TestBudgetLimitsDemos(t *testing.T) {
 // no work past the budget; without a budget it drains the sequence.
 func TestBuildStopsPullingAtFirstMisfit(t *testing.T) {
 	pulled := 0
+	d := NewDemo(demoDB(), "How many singers are there?", "SELECT COUNT(*) FROM singer")
 	demos := func(yield func(Demo) bool) {
 		for i := 0; i < 1000; i++ {
 			pulled++
-			if !yield(Demo{DB: demoDB(), NL: "How many singers are there?", SQL: "SELECT COUNT(*) FROM singer"}) {
+			if !yield(d) {
 				return
 			}
 		}
@@ -98,8 +102,8 @@ func TestTaskAlwaysFits(t *testing.T) {
 
 func TestParseDemoSQLs(t *testing.T) {
 	demos := []Demo{
-		{DB: demoDB(), NL: "q1", SQL: "SELECT a FROM t"},
-		{DB: demoDB(), NL: "q2", SQL: "SELECT b FROM u"},
+		NewDemo(demoDB(), "q1", "SELECT a FROM t"),
+		NewDemo(demoDB(), "q2", "SELECT b FROM u"),
 	}
 	r := Build("", slices.Values(demos), demoDB(), "task question", 0)
 	got := ParseDemoSQLs(r.Text)
@@ -116,9 +120,153 @@ func TestParseDemoSQLsIgnoresTaskSQLPrefix(t *testing.T) {
 }
 
 func TestTaskSchemaSize(t *testing.T) {
-	r := Build("", slices.Values([]Demo{{DB: demoDB(), NL: "q", SQL: "SELECT 1 FROM x"}}), demoDB(), "task", 0)
+	r := Build("", slices.Values([]Demo{NewDemo(demoDB(), "q", "SELECT 1 FROM x")}), demoDB(), "task", 0)
 	tables, cols := TaskSchemaSize(r.Text)
 	if tables != 1 || cols != 2 {
 		t.Errorf("TaskSchemaSize = %d tables, %d cols; want 1, 2", tables, cols)
+	}
+}
+
+// TestBuildAllocsDoNotGrowWithDemos: Build copies the blocks that fit into
+// one text grown to its final length, so a prompt holding a default
+// budget's worth of demonstrations costs it the allocations of a prompt
+// holding one.
+func TestBuildAllocsDoNotGrowWithDemos(t *testing.T) {
+	db := demoDB()
+	demos := make([]Demo, 58)
+	for i := range demos {
+		demos[i] = NewDemo(db, "How many singers are there?", "SELECT COUNT(*) FROM singer")
+	}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if Build("", slices.Values(demos[:n]), db, "List names.", 0).DemosUsed != n {
+				t.Fatal("short prompt")
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(len(demos)); many > one {
+		t.Errorf("Build allocates %v times for %d demonstrations, %v for one", many, len(demos), one)
+	}
+}
+
+// TestBuildMatchesPerCallRenderer holds Build to refBuild, the renderer it
+// replaced, over the training demonstrations of the scale-0.08 corpus
+// (pruned as the pipeline prunes them) and its dev tasks: the text, the
+// demonstrations used and the token count must be identical at every
+// budget, with and without instructions, and zero-shot.
+func TestBuildMatchesPerCallRenderer(t *testing.T) {
+	c := spider.GenerateSmall(1, 0.08)
+	var refs []refDemo
+	var demos []Demo
+	for _, e := range c.Train.Examples {
+		db := prunedSchema(e)
+		refs = append(refs, refDemo{DB: db, NL: e.NL, SQL: e.GoldSQL})
+		demos = append(demos, NewDemo(db, e.NL, e.GoldSQL))
+	}
+	for _, instructions := range []string{"", "-- Translate the question into SQLite SQL."} {
+		for _, maxTokens := range []int{0, 1, 300, 3072} {
+			for i, e := range c.Dev.Examples {
+				from := i * 7 % len(demos) // each task pulls a different run of demonstrations
+				want := refBuild(instructions, slices.Values(refs[from:]), e.DB, e.NL, maxTokens)
+				got := Build(instructions, slices.Values(demos[from:]), e.DB, e.NL, maxTokens)
+				if got != want {
+					t.Fatalf("instructions %q, budget %d, task %d: Build = %d demos, %d tokens; reference %d demos, %d tokens; texts equal: %v",
+						instructions, maxTokens, e.ID, got.DemosUsed, got.InputTokens, want.DemosUsed, want.InputTokens, got.Text == want.Text)
+				}
+				if got, want := Build(instructions, nil, e.DB, e.NL, maxTokens), refBuild(instructions, nil, e.DB, e.NL, maxTokens); got != want {
+					t.Fatalf("instructions %q, budget %d, task %d: zero-shot prompt differs from the reference", instructions, maxTokens, e.ID)
+				}
+			}
+		}
+	}
+}
+
+// prunedSchema prunes a training example's schema to the tables and
+// columns its gold SQL uses, as the pipeline does before rendering it.
+func prunedSchema(e *spider.Example) *schema.Database {
+	usedT, usedC := classifier.UsedItems(e.Gold, e.DB)
+	var keep []string
+	keepCols := map[string]map[string]bool{}
+	for t := range usedT {
+		keep = append(keep, t)
+		keepCols[t] = map[string]bool{}
+	}
+	for tc := range usedC {
+		for t := range usedT {
+			if len(tc) > len(t) && tc[:len(t)] == t && tc[len(t)] == '.' {
+				keepCols[t][tc[len(t)+1:]] = true
+			}
+		}
+	}
+	return e.DB.Prune(keep, keepCols)
+}
+
+// refDemo and refBuild are the renderer Build replaced: it rendered each
+// demonstration it pulled, schema included, on every call.
+type refDemo struct {
+	DB  *schema.Database
+	NL  string
+	SQL string
+}
+
+func refBuild(instructions string, demos iter.Seq[refDemo], taskDB *schema.Database, nl string, maxTokens int) Result {
+	var task strings.Builder
+	task.WriteString(TaskHeader)
+	task.WriteByte('\n')
+	refWriteSchema(&task, taskDB)
+	task.WriteString(QueryPrefix + " " + nl + "\n")
+	task.WriteString(SQLPrefix)
+
+	var sb strings.Builder
+	if instructions != "" {
+		sb.WriteString(instructions)
+		sb.WriteByte('\n')
+	}
+	budget := maxTokens - Tokens(task.String()) - Tokens(sb.String())
+
+	used := 0
+	if demos == nil {
+		demos = func(func(refDemo) bool) {}
+	}
+	for d := range demos {
+		var ds strings.Builder
+		ds.WriteString(DemoHeader)
+		ds.WriteByte('\n')
+		refWriteSchema(&ds, d.DB)
+		ds.WriteString(QueryPrefix + " " + d.NL + "\n")
+		ds.WriteString(SQLPrefix + " " + d.SQL + "\n\n")
+		cost := Tokens(ds.String())
+		if maxTokens > 0 && cost > budget {
+			break
+		}
+		sb.WriteString(ds.String())
+		budget -= cost
+		used++
+	}
+	sb.WriteString(task.String())
+	text := sb.String()
+	return Result{Text: text, DemosUsed: used, InputTokens: Tokens(text)}
+}
+
+func refWriteSchema(sb *strings.Builder, db *schema.Database) {
+	if db == nil {
+		return
+	}
+	sb.WriteString(SchemaPrefix)
+	sb.WriteByte('\n')
+	for _, t := range db.Tables {
+		sb.WriteString("  ")
+		sb.WriteString(t.Name)
+		sb.WriteByte('(')
+		for i, c := range t.Columns {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(c.Name)
+		}
+		sb.WriteString(")\n")
+	}
+	for _, fk := range db.ForeignKeys {
+		sb.WriteString("  FK " + fk.FromTable + "." + fk.FromColumn + " -> " + fk.ToTable + "." + fk.ToColumn + "\n")
 	}
 }
