@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -133,6 +134,10 @@ func newApp(cfg appConfig) (*app, error) {
 		return newRouterApp(cfg)
 	}
 	start := time.Now()
+	bootSeeds, err := parseBootstrapSeeds(cfg.BootstrapSeeds, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 	slog.Info("generating corpus and training pipeline", "scale", cfg.Scale, "seed", cfg.Seed)
 	corpus := spider.GenerateSmall(cfg.Seed, cfg.Scale)
 	sim := llm.Client(llm.NewSim(llm.ChatGPT))
@@ -181,11 +186,12 @@ func newApp(cfg appConfig) (*app, error) {
 		// The warming fallback trains on the union of several seed corpora:
 		// broader skeleton and vocabulary coverage than any single seed, so
 		// a freshly registered tenant's fallback pipeline generalizes
-		// better while its own models build.
-		boot, err := bootstrapExamples(corpus, cfg.Seed, cfg.Scale, cfg.BootstrapSeeds)
-		if err != nil {
-			return nil, err
-		}
+		// better while its own models build. The corpora are generated and
+		// the models trained on first use (the first registration, or the
+		// first load of a stored tenant without models), not at boot.
+		fallback := catalog.NewFallback(func() []*spider.Example {
+			return bootstrapExamples(corpus, bootSeeds, cfg.Scale)
+		}, "seeds", bootSeeds)
 		if cfg.DataDir != "" {
 			st, err = store.Open(cfg.DataDir, store.Options{Instance: storeInstance(cfg.ShardID)})
 			if err != nil {
@@ -198,7 +204,7 @@ func newApp(cfg appConfig) (*app, error) {
 		}
 		cat, err = catalog.New(catalog.Config{
 			Client:       base, // tenants wrap the raw backend in their own caches
-			Fallback:     catalog.NewFallback(boot),
+			Fallback:     fallback,
 			MaxTenants:   cfg.MaxTenants,
 			IdleTTL:      cfg.TenantIdleTTL,
 			Store:        st,
@@ -211,7 +217,7 @@ func newApp(cfg appConfig) (*app, error) {
 			return nil, err
 		}
 		opts = append(opts, service.WithCatalog(cat))
-		slog.Info("catalog ready", "bootstrap_demos", len(boot), "max_tenants", cfg.MaxTenants)
+		slog.Info("catalog ready", "max_tenants", cfg.MaxTenants)
 	}
 	if cfg.ShardID != "" {
 		opts = append(opts, service.WithShardID(cfg.ShardID))
@@ -385,11 +391,12 @@ func (a *app) run(ctx context.Context) error {
 	return drainErr
 }
 
-// bootstrapExamples unions the training splits of the configured bootstrap
-// seeds (reusing the already-generated main corpus for its own seed).
-func bootstrapExamples(main *spider.Corpus, mainSeed int64, scale float64, seeds string) ([]*spider.Example, error) {
-	out := append([]*spider.Example(nil), main.Train.Examples...)
-	for _, f := range strings.Split(seeds, ",") {
+// parseBootstrapSeeds parses -bootstrap-seeds into the corpus seeds whose
+// training splits train the catalog's fallback: the main corpus's seed
+// first, then each listed seed once, in list order.
+func parseBootstrapSeeds(list string, mainSeed int64) ([]int64, error) {
+	seeds := []int64{mainSeed}
+	for _, f := range strings.Split(list, ",") {
 		f = strings.TrimSpace(f)
 		if f == "" {
 			continue
@@ -398,10 +405,19 @@ func bootstrapExamples(main *spider.Corpus, mainSeed int64, scale float64, seeds
 		if err != nil {
 			return nil, fmt.Errorf("bad -bootstrap-seeds entry %q: %v", f, err)
 		}
-		if s == mainSeed {
-			continue
+		if !slices.Contains(seeds, s) {
+			seeds = append(seeds, s)
 		}
+	}
+	return seeds, nil
+}
+
+// bootstrapExamples unions the training splits of seeds, reusing the
+// already-generated main corpus for seeds[0].
+func bootstrapExamples(main *spider.Corpus, seeds []int64, scale float64) []*spider.Example {
+	out := append([]*spider.Example(nil), main.Train.Examples...)
+	for _, s := range seeds[1:] {
 		out = append(out, spider.GenerateSmall(s, scale).Train.Examples...)
 	}
-	return out, nil
+	return out
 }

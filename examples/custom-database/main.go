@@ -85,7 +85,7 @@ func main() {
 	client := llm.NewSim(llm.ChatGPT)
 	cat, err := catalog.New(catalog.Config{
 		Client:   client,
-		Fallback: catalog.NewFallback(corpus.Train.Examples),
+		Fallback: catalog.NewFallback(func() []*spider.Example { return corpus.Train.Examples }),
 	})
 	if err != nil {
 		log.Fatal(err)

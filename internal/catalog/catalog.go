@@ -17,7 +17,9 @@
 // Registration is cheap and synchronous: the schema is validated and
 // fingerprinted, demos parsed, and a *warming* snapshot — the tenant's own
 // demos over the catalog's shared fallback models — is published
-// immediately. The expensive artifacts (tenant-trained classifier and
+// immediately. The fallback models train on the catalog's first
+// registration (or first load of a stored snapshot without models); later
+// ones reuse them. The expensive artifacts (tenant-trained classifier and
 // predictor) build asynchronously through the jobs machinery; when the
 // build lands the snapshot swaps to *ready*. Re-registration bumps the
 // version, invalidates the retired fingerprint's plans in the shared
@@ -43,6 +45,7 @@ import (
 	"repro/internal/spider"
 	"repro/internal/sqlexec"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // Typed errors surfaced to the service layer.
@@ -61,16 +64,45 @@ var (
 
 // Fallback bundles the shared substrate models that serve a tenant while
 // its own models train: a classifier and predictor fitted on a bootstrap
-// corpus. One Fallback is shared read-only by every warming tenant.
+// corpus. One Fallback is shared read-only by every warming tenant. It
+// trains on first use — the first registration, or the first load of a
+// stored snapshot without models — so a catalog that never warms a tenant
+// never builds the bootstrap corpus or pays for the training.
 type Fallback struct {
-	Clf  *classifier.Model
-	Pred *predictor.Model
+	bootstrap func() []*spider.Example
+	logAttrs  []any
+
+	once sync.Once
+	clf  *classifier.Model
+	pred *predictor.Model
 }
 
-// NewFallback trains fallback models on a bootstrap demonstration set
-// (typically the union of several seed corpora's training splits).
-func NewFallback(train []*spider.Example) *Fallback {
-	return &Fallback{Clf: classifier.Train(train), Pred: predictor.Train(train)}
+// NewFallback returns fallback models that train, on first use, on the
+// demonstrations bootstrap returns (typically the union of several seed
+// corpora's training splits). bootstrap is called once, while the
+// registration or load that first needs the models waits, so it must not
+// call back into the catalog. logAttrs are key-value pairs added to the
+// "catalog fallback trained" log line.
+func NewFallback(bootstrap func() []*spider.Example, logAttrs ...any) *Fallback {
+	return &Fallback{bootstrap: bootstrap, logAttrs: logAttrs}
+}
+
+// models returns the fallback models, training them on the first call;
+// concurrent first callers wait for that one training. The training is
+// recorded as a catalog.fallback_train span under link, the request that
+// triggered it.
+func (f *Fallback) models(link trace.Link) (*classifier.Model, *predictor.Model) {
+	f.once.Do(func() {
+		start := time.Now()
+		train := f.bootstrap()
+		f.clf, f.pred = classifier.Train(train), predictor.Train(train)
+		sp := link.Span("catalog.fallback_train", start)
+		sp.SetAttrs(trace.Int("demos", int64(len(train))))
+		sp.Finish()
+		slog.Info("catalog fallback trained", append(f.logAttrs,
+			"demos", len(train), "ms", time.Since(start).Milliseconds())...)
+	})
+	return f.clf, f.pred
 }
 
 // Config parameterizes a Catalog. Client and Fallback are required.
@@ -369,7 +401,9 @@ func (c *Catalog) register(reg Registration, replace bool) (*Snapshot, error) {
 	// Build the warming snapshot outside the lock: the pipeline over the
 	// tenant's demos with the shared fallback models. This is the cheap
 	// part — hierarchy construction and demo rendering scale with the demo
-	// pool, not the bootstrap corpus.
+	// pool, not the bootstrap corpus — except on the catalog's first
+	// registration, which trains the fallback.
+	clf, pred := c.cfg.Fallback.models(reg.Trace)
 	warming := c.resident(&Snapshot{
 		Name:        reg.DB.Name,
 		State:       StateWarming,
@@ -377,7 +411,7 @@ func (c *Catalog) register(reg Registration, replace bool) (*Snapshot, error) {
 		DB:          reg.DB,
 		Demos:       demos,
 		Registered:  c.now(),
-	}, c.cfg.Fallback.Clf, c.cfg.Fallback.Pred)
+	}, clf, pred)
 
 	c.mu.Lock()
 	if c.closed {

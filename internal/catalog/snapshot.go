@@ -11,6 +11,7 @@ import (
 	"repro/internal/spider"
 	"repro/internal/sqlexec"
 	"repro/internal/sqlir"
+	"repro/internal/trace"
 )
 
 // State is a tenant snapshot's readiness phase.
@@ -44,6 +45,10 @@ type Demo struct {
 type Registration struct {
 	DB    *schema.Database
 	Demos []Demo
+	// Trace optionally links the registration to the request's trace: the
+	// catalog's first registration records the fallback training there.
+	// The zero Link is inert.
+	Trace trace.Link
 }
 
 // Snapshot is the immutable per-tenant artifact bundle: everything a

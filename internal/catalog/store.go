@@ -16,6 +16,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/predictor"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // recoverFromStore replays the store's WAL-recovered tenant set into
@@ -162,7 +163,8 @@ func (c *Catalog) loadStored(t *Tenant, stub *Snapshot) bool {
 		return false
 	}
 	state, built := StateWarming, time.Time{}
-	clf, pred := c.cfg.Fallback.Clf, c.cfg.Fallback.Pred
+	var clf *classifier.Model
+	var pred *predictor.Model
 	if ts.HasModels() {
 		clf, pred = &classifier.Model{}, &predictor.Model{}
 		if clf.UnmarshalBinary(ts.Classifier) != nil || pred.UnmarshalBinary(ts.Predictor) != nil {
@@ -170,6 +172,8 @@ func (c *Catalog) loadStored(t *Tenant, stub *Snapshot) bool {
 			return false
 		}
 		state, built = StateReady, ts.Built
+	} else {
+		clf, pred = c.cfg.Fallback.models(trace.Link{})
 	}
 	loaded := c.resident(&Snapshot{
 		Name:        ts.Name,

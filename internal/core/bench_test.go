@@ -15,27 +15,53 @@ import (
 )
 
 // PURPLE's per-question stages on the paper-scale corpus (scale 1.0: 8,659
-// training demonstrations), gated in BENCH_pipeline.txt. Every benchmark
-// cycles over the same first pipelineTasks dev tasks of the pipeline the
-// server builds.
+// training demonstrations), and the pipeline build a server pays at boot,
+// gated in BENCH_pipeline.txt. Every per-question benchmark cycles over the
+// same first pipelineTasks dev tasks of the pipeline the server builds.
 
 // pipelineTasks is how many dev tasks the pipeline benchmarks cycle over.
 const pipelineTasks = 64
 
 var (
+	corpusOnce  sync.Once
+	paperCorpus *spider.Corpus
+
 	paperOnce  sync.Once
 	paperPipe  *Pipeline
 	paperTasks []*spider.Example
 )
 
+// paperTrain generates the scale-1.0 corpus once per test process and
+// returns its training split.
+func paperTrain() []*spider.Example {
+	corpusOnce.Do(func() { paperCorpus = spider.GenerateSmall(1, 1.0) })
+	return paperCorpus.Train.Examples
+}
+
 // paperPipeline builds the scale-1.0 pipeline once per test process.
 func paperPipeline() (*Pipeline, []*spider.Example) {
 	paperOnce.Do(func() {
-		corpus := spider.GenerateSmall(1, 1.0)
-		paperPipe = New(corpus.Train.Examples, llm.NewSim(llm.ChatGPT), DefaultConfig())
-		paperTasks = corpus.Dev.Examples[:pipelineTasks]
+		paperPipe = New(paperTrain(), llm.NewSim(llm.ChatGPT), DefaultConfig())
+		paperTasks = paperCorpus.Dev.Examples[:pipelineTasks]
 	})
 	return paperPipe, paperTasks
+}
+
+// BenchmarkPipelineNew is the pipeline build a server pays at boot: New
+// over the paper-scale training split, training the classifier and the
+// predictor, building the automaton hierarchy and rendering every
+// demonstration once. The corpus is generated before the timer starts
+// (BenchmarkCorpusGenerate in internal/spider gates that).
+func BenchmarkPipelineNew(b *testing.B) {
+	train := paperTrain()
+	client := llm.NewSim(llm.ChatGPT)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(New(train, client, DefaultConfig()).demos) != len(train) {
+			b.Fatal("a demonstration was not rendered")
+		}
+	}
 }
 
 // BenchmarkPipelinePrune is schema pruning: the classifier keeps the

@@ -34,12 +34,7 @@ type Env struct {
 // full Table 3 sizes; smaller scales are proportionally reduced for fast
 // iteration).
 func NewEnv(seed int64, scale float64) *Env {
-	var c *spider.Corpus
-	if scale >= 1 {
-		c = spider.Generate(seed)
-	} else {
-		c = spider.GenerateSmall(seed, scale)
-	}
+	c := spider.GenerateSmall(seed, scale)
 	env := &Env{
 		Corpus: c,
 		Clf:    classifier.Train(c.Train.Examples),

@@ -30,7 +30,7 @@ func testService(t *testing.T) (*httptest.Server, *metrics.Registry) {
 	t.Helper()
 	srvOnce.Do(func() {
 		srvCorpus = spider.GenerateSmall(13, 0.05)
-		srvFB = catalog.NewFallback(srvCorpus.Train.Examples)
+		srvFB = catalog.NewFallback(func() []*spider.Example { return srvCorpus.Train.Examples })
 	})
 	cfg := core.DefaultConfig()
 	cfg.Consistency = 3

@@ -210,7 +210,7 @@ func testServer(t *testing.T) *httptest.Server {
 	client := fault.Wrap(cache)
 	cat, err := catalog.New(catalog.Config{
 		Client:   fault.Wrap(sim),
-		Fallback: catalog.NewFallback(corpus.Train.Examples),
+		Fallback: catalog.NewFallback(func() []*spider.Example { return corpus.Train.Examples }),
 		Pipeline: &cfg,
 	})
 	if err != nil {

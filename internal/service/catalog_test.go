@@ -25,7 +25,7 @@ var (
 func tenantSubstrate() (*spider.Corpus, *catalog.Fallback) {
 	svcFBOnce.Do(func() {
 		svcCorpus = spider.GenerateSmall(13, 0.05)
-		svcFB = catalog.NewFallback(svcCorpus.Train.Examples)
+		svcFB = catalog.NewFallback(func() []*spider.Example { return svcCorpus.Train.Examples })
 	})
 	return svcCorpus, svcFB
 }

@@ -80,29 +80,9 @@ const (
 	DKDatabases    = 10
 )
 
-// Generate builds the full corpus deterministically from a seed.
-func Generate(seed int64) *Corpus {
-	rng := rand.New(rand.NewSource(seed))
-
-	trainDBs, trainSpecs := makeDatabases(rng, 0, trainDomainCount, TrainDatabases)
-	devDBs, devSpecs := makeDatabases(rng, trainDomainCount, len(domains), DevDatabases)
-	dkDBs, dkSpecs := makeDatabases(rng, trainDomainCount, len(domains), DKDatabases)
-
-	c := &Corpus{
-		Train:     makeSplit("spider-train", trainDBs, trainSpecs, rng, StyleStandard, TrainQueries, 0),
-		Dev:       makeSplit("spider-dev", devDBs, devSpecs, rng, StyleStandard, DevQueries, 0),
-		DK:        makeSplit("spider-dk", dkDBs, dkSpecs, rng, StyleDK, DKQueries, 0.20),
-		Syn:       makeSplit("spider-syn", devDBs, devSpecs, rng, StyleSyn, SynQueries, 0.15),
-		Realistic: makeSplit("spider-realistic", devDBs, devSpecs, rng, StyleRealistic, RealisticQueries, 0.12),
-	}
-	tagVariant(c.DK, "dk")
-	tagVariant(c.Syn, "syn")
-	tagVariant(c.Realistic, "realistic")
-	return c
-}
-
-// GenerateSmall builds a reduced corpus (scale in (0,1]) for fast tests and
-// benchmarks; split proportions are preserved.
+// GenerateSmall builds the corpus deterministically from a seed. Scale 1
+// (or any scale outside (0,1]) gives the paper's Table 3 sizes; a smaller
+// scale reduces every split in proportion for fast tests and benchmarks.
 func GenerateSmall(seed int64, scale float64) *Corpus {
 	if scale <= 0 || scale > 1 {
 		scale = 1
@@ -115,12 +95,15 @@ func GenerateSmall(seed int64, scale float64) *Corpus {
 	devDBs, devSpecs := makeDatabases(rng, trainDomainCount, len(domains), nDevDB)
 	dkDBs, dkSpecs := makeDatabases(rng, trainDomainCount, len(domains), nDKDB)
 	n := func(full int) int { return maxInt(20, int(float64(full)*scale)) }
+	// Syn and Realistic reuse the dev databases, so one memo serves every
+	// split.
+	values := valueMemo{}
 	c := &Corpus{
-		Train:     makeSplit("spider-train", trainDBs, trainSpecs, rng, StyleStandard, n(TrainQueries), 0),
-		Dev:       makeSplit("spider-dev", devDBs, devSpecs, rng, StyleStandard, n(DevQueries), 0),
-		DK:        makeSplit("spider-dk", dkDBs, dkSpecs, rng, StyleDK, n(DKQueries), 0.20),
-		Syn:       makeSplit("spider-syn", devDBs, devSpecs, rng, StyleSyn, n(SynQueries), 0.15),
-		Realistic: makeSplit("spider-realistic", devDBs, devSpecs, rng, StyleRealistic, n(RealisticQueries), 0.12),
+		Train:     makeSplit("spider-train", trainDBs, trainSpecs, rng, values, StyleStandard, n(TrainQueries), 0),
+		Dev:       makeSplit("spider-dev", devDBs, devSpecs, rng, values, StyleStandard, n(DevQueries), 0),
+		DK:        makeSplit("spider-dk", dkDBs, dkSpecs, rng, values, StyleDK, n(DKQueries), 0.20),
+		Syn:       makeSplit("spider-syn", devDBs, devSpecs, rng, values, StyleSyn, n(SynQueries), 0.15),
+		Realistic: makeSplit("spider-realistic", devDBs, devSpecs, rng, values, StyleRealistic, n(RealisticQueries), 0.12),
 	}
 	tagVariant(c.DK, "dk")
 	tagVariant(c.Syn, "syn")
@@ -149,11 +132,11 @@ func makeDatabases(rng *rand.Rand, lo, hi, count int) ([]*schema.Database, []dom
 	return dbs, specs
 }
 
-func makeSplit(name string, dbs []*schema.Database, specs []domainSpec, rng *rand.Rand, style Style, count int, noise float64) *Benchmark {
+func makeSplit(name string, dbs []*schema.Database, specs []domainSpec, rng *rand.Rand, values valueMemo, style Style, count int, noise float64) *Benchmark {
 	b := &Benchmark{Name: name, Databases: dbs}
 	for i := 0; i < count; i++ {
 		di := i % len(dbs)
-		ex := sampleExample(dbs[di], specs[di], rng, style)
+		ex := sampleExample(dbs[di], specs[di], rng, values, style)
 		sel := ex.sel
 		e := &Example{
 			ID:        i,

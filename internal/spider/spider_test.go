@@ -47,7 +47,7 @@ func TestFullSizesMatchTable3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus in -short mode")
 	}
-	c := Generate(1)
+	c := GenerateSmall(1, 1)
 	checks := []struct {
 		b    *Benchmark
 		q, d int

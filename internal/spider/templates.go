@@ -53,10 +53,39 @@ type genExample struct {
 
 // sampler bundles what templates need.
 type sampler struct {
-	db    *schema.Database
-	spec  domainSpec
-	rng   *rand.Rand
-	style Style
+	db     *schema.Database
+	spec   domainSpec
+	rng    *rand.Rand
+	values valueMemo
+	style  Style
+}
+
+// topValueCount is how many of a column's most frequent values a sampled
+// predicate draws from (groupHaving draws from the first 6 of them).
+const topValueCount = 10
+
+// valueKey names one column of one database.
+type valueKey struct {
+	db            *schema.Database
+	table, column string
+}
+
+// valueMemo holds each column's RepresentativeValues(table, column,
+// topValueCount) for one corpus, so a column's rows are counted and sorted
+// once instead of once per sampled predicate. The databases are not
+// modified while the corpus is sampled.
+type valueMemo map[valueKey][]schema.Value
+
+// topValues returns the column's most frequent values, most frequent first,
+// ranking them on first use. Callers must not modify the slice.
+func (s *sampler) topValues(t *schema.Table, c schema.Column) []schema.Value {
+	k := valueKey{s.db, t.Name, c.Name}
+	vals, ok := s.values[k]
+	if !ok {
+		vals = s.db.RepresentativeValues(t.Name, c.Name, topValueCount)
+		s.values[k] = vals
+	}
+	return vals
 }
 
 // templates lists the sampling functions with weights tuned to yield a
@@ -100,8 +129,8 @@ var totalTemplateWeight = func() int {
 
 // sampleExample draws one example; it retries templates that do not apply to
 // the database shape.
-func sampleExample(db *schema.Database, spec domainSpec, rng *rand.Rand, style Style) *genExample {
-	s := &sampler{db: db, spec: spec, rng: rng, style: style}
+func sampleExample(db *schema.Database, spec domainSpec, rng *rand.Rand, values valueMemo, style Style) *genExample {
+	s := &sampler{db: db, spec: spec, rng: rng, values: values, style: style}
 	for tries := 0; tries < 64; tries++ {
 		r := rng.Intn(totalTemplateWeight)
 		for _, t := range templates {
@@ -160,7 +189,7 @@ func (s *sampler) pickTypedCol(t *schema.Table, typ schema.ColType) (schema.Colu
 // pickValue draws an existing value from a column so predicates are
 // non-trivially selective.
 func (s *sampler) pickValue(t *schema.Table, c schema.Column) (schema.Value, bool) {
-	vals := s.db.RepresentativeValues(t.Name, c.Name, 10)
+	vals := s.topValues(t, c)
 	if len(vals) == 0 {
 		return schema.Value{}, false
 	}
@@ -645,7 +674,10 @@ func (s *sampler) groupHaving() *genExample {
 	sel.GroupBy = []*sqlir.ColumnRef{col("", c.Name)}
 	var nl string
 	if num, okN := s.pickTypedCol(t, schema.TypeNumber); okN && s.rng.Float64() < 0.3 {
-		vals := s.db.RepresentativeValues(t.Name, num.Name, 6)
+		vals := s.topValues(t, num)
+		if len(vals) > 6 {
+			vals = vals[:6]
+		}
 		if len(vals) > 0 {
 			v := vals[s.rng.Intn(len(vals))]
 			fn := []string{"AVG", "SUM"}[s.rng.Intn(2)]
@@ -874,7 +906,7 @@ func (s *sampler) intersectJoin() *genExample {
 	if !ok {
 		return nil
 	}
-	vals := s.db.RepresentativeValues(child.Name, cc.Name, 10)
+	vals := s.topValues(child, cc)
 	if len(vals) < 2 {
 		return nil
 	}
@@ -910,7 +942,7 @@ func (s *sampler) unionTwoValues() *genExample {
 	if !ok || w.Name == c.Name {
 		return nil
 	}
-	vals := s.db.RepresentativeValues(t.Name, w.Name, 10)
+	vals := s.topValues(t, w)
 	if len(vals) < 2 {
 		return nil
 	}
@@ -939,7 +971,7 @@ func (s *sampler) betweenPredicate() *genExample {
 	if !ok || w.Name == c.Name {
 		return nil
 	}
-	vals := s.db.RepresentativeValues(t.Name, w.Name, 10)
+	vals := s.topValues(t, w)
 	if len(vals) < 2 {
 		return nil
 	}
