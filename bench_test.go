@@ -229,7 +229,7 @@ func BenchmarkCachedEngineBatch(b *testing.B) {
 		}
 	}
 	st := cache.Stats()
-	b.ReportMetric(st.HitRate()*100, "hit%")
+	b.ReportMetric(100*float64(st.Hits)/float64(st.Hits+st.Misses), "hit%")
 	if st.Hits == 0 {
 		b.Fatal("expected cache hits on repeated identical runs")
 	}

@@ -239,7 +239,7 @@ func TestShardedTopology(t *testing.T) {
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("register %s: status %d body %s", name, resp.StatusCode, raw)
 		}
-		want := ring.Lookup(name)
+		want, _ := ring.Lookup2(name)
 		if got := resp.Header.Get("X-NL2SQL-Shard"); got != want {
 			t.Fatalf("registration of %s landed on %s, ring places it on %s", name, got, want)
 		}
@@ -253,8 +253,8 @@ func TestShardedTopology(t *testing.T) {
 	for _, name := range all {
 		c.waitTenantReady(name, 30*time.Second)
 		sql, shard := c.translate(name)
-		if shard != ring.Lookup(name) {
-			t.Fatalf("tenant %s served by %s, placed on %s", name, shard, ring.Lookup(name))
+		if want, _ := ring.Lookup2(name); shard != want {
+			t.Fatalf("tenant %s served by %s, placed on %s", name, shard, want)
 		}
 		sqlBefore[name] = sql
 	}

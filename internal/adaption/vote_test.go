@@ -192,11 +192,10 @@ func TestVoteMatchesPerCandidateVoteOnSampledSQL(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, e := range c.Dev.Examples[:min(60, len(c.Dev.Examples))] {
 		resp := sim.Complete(llm.Request{
-			Prompt:         prompt.Build("", nil, e.DB, e.NL, 0).Text,
-			N:              30,
-			Task:           e,
-			SchemaInPrompt: e.DB,
-			Seed:           int64(e.ID),
+			Prompt: prompt.Build("", nil, e.DB, e.NL, 0).Text,
+			N:      30,
+			Task:   e,
+			Seed:   int64(e.ID),
 		})
 		for _, sql := range resp.SQLs {
 			checkAdaptResult(t, e.DB, sql)

@@ -127,11 +127,6 @@ func (a *Automaton) Match(predTokens []string) []int {
 	return a.ends[Key(kept)]
 }
 
-// States returns the number of distinct <END> states (distinct paths) in the
-// automaton; the paper reports the proportion across levels (912:708:363:59
-// on Spider) as the density signal guiding the selection schedule.
-func (a *Automaton) States() int { return len(a.ends) }
-
 // Hierarchy is the four-level automaton set used by demonstration selection.
 type Hierarchy struct {
 	Levels [NumLevels]*Automaton
@@ -144,13 +139,4 @@ func BuildHierarchy(demoSkeletons [][]string) *Hierarchy {
 		h.Levels[l-1] = Build(l, demoSkeletons)
 	}
 	return h
-}
-
-// StateCounts returns the distinct-path count per level, finest first.
-func (h *Hierarchy) StateCounts() [NumLevels]int {
-	var out [NumLevels]int
-	for i, a := range h.Levels {
-		out[i] = a.States()
-	}
-	return out
 }

@@ -64,13 +64,13 @@ func TestDistinctSkeletonsDistinctPaths(t *testing.T) {
 	a := toks("SELECT name FROM t WHERE x = 1")
 	b := toks("SELECT name FROM t WHERE x > 1")
 	auto := Build(Detail, [][]string{a, b})
-	if auto.States() != 2 {
-		t.Errorf("Detail automaton states = %d, want 2", auto.States())
+	if len(auto.ends) != 2 {
+		t.Errorf("Detail automaton states = %d, want 2", len(auto.ends))
 	}
 	// At Structure level both collapse to the same <CMP> path.
 	autoS := Build(Structure, [][]string{a, b})
-	if autoS.States() != 1 {
-		t.Errorf("Structure automaton states = %d, want 1", autoS.States())
+	if len(autoS.ends) != 1 {
+		t.Errorf("Structure automaton states = %d, want 1", len(autoS.ends))
 	}
 }
 
@@ -132,7 +132,10 @@ func TestHierarchyStateCountsDecrease(t *testing.T) {
 		demos = append(demos, toks(sql))
 	}
 	h := BuildHierarchy(demos)
-	counts := h.StateCounts()
+	var counts [NumLevels]int // distinct <END> states (paths) per level, finest first
+	for i, a := range h.Levels {
+		counts[i] = len(a.ends)
+	}
 	for i := 1; i < NumLevels; i++ {
 		if counts[i] > counts[i-1] {
 			t.Errorf("level %d has more states (%d) than level %d (%d); abstraction must compress",

@@ -36,7 +36,7 @@ func (s *ChatGPTSQL) Name() string { return "ChatGPT-SQL(" + s.Client.Name() + "
 func (s *ChatGPTSQL) Translate(e *spider.Example) core.Translation {
 	built := prompt.Build("-- Translate the question into SQLite SQL.", nil, e.DB, e.NL, 0)
 	resp := s.Client.Complete(llm.Request{
-		Prompt: built.Text, N: 1, Task: e, SchemaInPrompt: e.DB,
+		Prompt: built.Text, N: 1, Task: e,
 		Seed: s.Seed*11_000_003 + int64(e.ID),
 	})
 	out := core.Translation{InputTokens: resp.InputTokens, OutputTokens: resp.OutputTokens}
@@ -74,7 +74,7 @@ func (s *C3) Translate(e *spider.Example) core.Translation {
 	instructions := "-- Use only provided tables and columns. Prefer simple clear SQL. Do not use unsupported functions."
 	built := prompt.Build(instructions, nil, taskDB, e.NL, 0)
 	resp := s.Client.Complete(llm.Request{
-		Prompt: built.Text, N: n, Task: e, SchemaInPrompt: taskDB,
+		Prompt: built.Text, N: n, Task: e,
 		Calibrated: true,
 		Seed:       s.Seed*13_000_003 + int64(e.ID),
 	})
@@ -140,7 +140,7 @@ func (s *DINSQL) Translate(e *spider.Example) core.Translation {
 	instructions := "-- Let's think step by step: link the schema, classify the question, then write the SQL."
 	built := prompt.Build(instructions, slices.Values(s.fixed), e.DB, e.NL, 0)
 	resp := s.Client.Complete(llm.Request{
-		Prompt: built.Text, N: 1, Task: e, SchemaInPrompt: e.DB,
+		Prompt: built.Text, N: 1, Task: e,
 		CoT:  true,
 		Seed: s.Seed*17_000_003 + int64(e.ID),
 	})
@@ -217,7 +217,7 @@ func (s *DAILSQL) Translate(e *spider.Example) core.Translation {
 	}
 	built := prompt.Build("", ordered, e.DB, e.NL, maxTok)
 	resp := s.Client.Complete(llm.Request{
-		Prompt: built.Text, N: 1, Task: e, SchemaInPrompt: e.DB,
+		Prompt: built.Text, N: 1, Task: e,
 		Seed: s.Seed*19_000_003 + int64(e.ID),
 	})
 	out := core.Translation{InputTokens: resp.InputTokens, OutputTokens: resp.OutputTokens, DemosUsed: built.DemosUsed}
@@ -249,7 +249,7 @@ func (s *PLMDirect) Name() string { return s.Label }
 func (s *PLMDirect) Translate(e *spider.Example) core.Translation {
 	built := prompt.Build("", nil, e.DB, e.NL, 0)
 	resp := s.client.Complete(llm.Request{
-		Prompt: built.Text, N: 1, Task: e, SchemaInPrompt: e.DB,
+		Prompt: built.Text, N: 1, Task: e,
 		Seed: s.Seed*23_000_003 + int64(e.ID),
 	})
 	out := core.Translation{InputTokens: resp.InputTokens, OutputTokens: resp.OutputTokens}

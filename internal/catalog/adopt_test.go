@@ -53,7 +53,7 @@ func TestAdoptStoredHandsOffTrainedState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AdoptStored: %v", err)
 	}
-	if !snap.Ready() {
+	if snap.State != StateReady {
 		t.Fatalf("adopted snapshot state = %s, want ready (models travel with the file)", snap.State)
 	}
 	if got := translateShop(t, c1, "handoff"); got != want {
@@ -147,7 +147,7 @@ func TestSharedModeEvictionPreservesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-adopt after eviction: %v", err)
 	}
-	if !snap.Ready() {
+	if snap.State != StateReady {
 		t.Fatalf("re-adopted state = %s, want ready", snap.State)
 	}
 	if got := translateShop(t, c, "keep-a"); got != want {

@@ -358,9 +358,6 @@ func (c *Catalog) Lookup(name string) (*Tenant, bool) {
 	return t, true
 }
 
-// Len reports the number of registered tenants.
-func (c *Catalog) Len() int { return len(*c.tenants.Load()) }
-
 // List snapshots every tenant, sorted by name.
 func (c *Catalog) List() []*Snapshot {
 	m := c.tenants.Load()

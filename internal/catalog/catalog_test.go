@@ -81,7 +81,7 @@ func waitReady(t *testing.T, c *Catalog, name string) *Snapshot {
 		if !ok {
 			t.Fatalf("tenant %q vanished while warming", name)
 		}
-		if s := tn.Snapshot(); s.Ready() {
+		if s := tn.Snapshot(); s.State == StateReady {
 			return s
 		}
 		if time.Now().After(deadline) {
@@ -207,8 +207,8 @@ func TestValidation(t *testing.T) {
 			t.Errorf("%s: registration unexpectedly succeeded", tc.name)
 		}
 	}
-	if c.Len() != 0 {
-		t.Errorf("failed registrations left %d tenants behind", c.Len())
+	if len(c.List()) != 0 {
+		t.Errorf("failed registrations left %d tenants behind", len(c.List()))
 	}
 
 	dupTable := shopDB("v4")
@@ -266,8 +266,8 @@ func TestLRUEvictionAtCap(t *testing.T) {
 	if _, err := c.Register(Registration{DB: shopDB("cap2"), Demos: shopDemos()}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len=%d, want 2", c.Len())
+	if len(c.List()) != 2 {
+		t.Fatalf("len=%d, want 2", len(c.List()))
 	}
 	if _, ok := c.Lookup("cap0"); ok {
 		t.Error("cap0 should have been LRU-evicted")
@@ -398,8 +398,8 @@ func TestConcurrentChaos(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Len() > cfg.MaxTenants {
-		t.Errorf("len=%d exceeds cap %d", c.Len(), cfg.MaxTenants)
+	if len(c.List()) > cfg.MaxTenants {
+		t.Errorf("len=%d exceeds cap %d", len(c.List()), cfg.MaxTenants)
 	}
 }
 
@@ -432,8 +432,8 @@ func TestBuildQueueSaturation(t *testing.T) {
 	if okCount == 0 {
 		t.Error("no registration succeeded")
 	}
-	if c.Len() != okCount {
-		t.Errorf("len=%d but %d registrations succeeded", c.Len(), okCount)
+	if len(c.List()) != okCount {
+		t.Errorf("len=%d but %d registrations succeeded", len(c.List()), okCount)
 	}
 }
 
@@ -453,8 +453,8 @@ func TestExternalBuildManagerShutdown(t *testing.T) {
 	if _, err := c.Register(Registration{DB: shopDB("late"), Demos: shopDemos()}); err != ErrClosed {
 		t.Fatalf("register against drained build manager: %v, want ErrClosed", err)
 	}
-	if c.Len() != 0 {
-		t.Errorf("failed registration left %d tenants", c.Len())
+	if len(c.List()) != 0 {
+		t.Errorf("failed registration left %d tenants", len(c.List()))
 	}
 }
 

@@ -58,7 +58,7 @@ func TestFallbackTrainsOnlyWhenATenantNeedsIt(t *testing.T) {
 	c2 := newDurableCatalog(t, st2, func(cfg *Config) { cfg.Fallback = fb })
 	defer closeCatalog(t, c2)
 	tn, ok := c2.Lookup("built")
-	if !ok || !tn.Snapshot().Ready() {
+	if !ok || tn.Snapshot().State != StateReady {
 		t.Fatal("stored tenant with models did not load ready")
 	}
 	if n := calls.Load(); n != 0 {

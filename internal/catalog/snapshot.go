@@ -83,9 +83,6 @@ type Snapshot struct {
 	Registered, Built time.Time
 }
 
-// Ready reports whether the tenant-trained models have been published.
-func (s *Snapshot) Ready() bool { return s.State == StateReady }
-
 // Oracle resolves a question to a translatable example: the nearest demo
 // by token overlap supplies the hidden gold query the simulated LLM grades
 // prompts against. It returns false when no demo is close enough — the

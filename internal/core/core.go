@@ -264,12 +264,11 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 	}
 	lctx, lsp := trace.StartSpan(ctx, "llm.complete")
 	resp := p.client.Complete(llm.Request{
-		Prompt:         built.Text,
-		N:              n,
-		Task:           e,
-		SchemaInPrompt: taskDB,
-		Seed:           p.cfg.Seed*7_000_003 + int64(e.ID),
-		Ctx:            lctx,
+		Prompt: built.Text,
+		N:      n,
+		Task:   e,
+		Seed:   p.cfg.Seed*7_000_003 + int64(e.ID),
+		Ctx:    lctx,
 	})
 	lsp.SetAttrs(
 		trace.Int("input_tokens", int64(resp.InputTokens)),

@@ -10,15 +10,15 @@ import (
 )
 
 // ExampleNew builds a PURPLE pipeline on the synthetic training split and
-// reports its substrate models.
+// asks its skeleton predictor for a dev question's top three skeletons.
 func ExampleNew() {
 	corpus := spider.GenerateSmall(77, 0.06)
 	p := core.New(corpus.Train.Examples, llm.NewSim(llm.ChatGPT), core.DefaultConfig())
 	fmt.Println(p.Name())
-	fmt.Println(p.Predictor().InventorySize() > 0)
+	fmt.Println(len(p.Predictor().Predict(corpus.Dev.Examples[0].NL, 3)))
 	// Output:
 	// PURPLE(sim-chatgpt)
-	// true
+	// 3
 }
 
 // ExamplePipeline_Translate translates one dev task. Everything is seeded,

@@ -7,7 +7,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/baselines"
@@ -83,12 +82,6 @@ type Scores struct {
 	ByHardness map[string][2]float64
 	// Token accounting per query (thousands).
 	InTokensPerQ, OutTokensPerQ float64
-}
-
-// String renders the headline numbers.
-func (s Scores) String() string {
-	return fmt.Sprintf("%-28s EM=%5.1f%% EX=%5.1f%% TS=%5.1f%% tok/q=%.2fk",
-		s.Strategy, s.EM, s.EX, s.TS, s.InTokensPerQ+s.OutTokensPerQ)
 }
 
 // RunOptions tunes an evaluation run.
@@ -246,13 +239,3 @@ func FormatTable(title string, header []string, rows [][]string) string {
 
 // pct formats a percentage cell.
 func pct(v float64) string { return fmt.Sprintf("%.1f", v) }
-
-// sortedKeys returns map keys in sorted order (deterministic output).
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

@@ -277,9 +277,6 @@ func NewManager(tr core.Translator, cfg Config) *Manager {
 	return m
 }
 
-// Config reports the manager's effective (defaulted) configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 // Submit admits a job, returning its initial snapshot. It never blocks: a
 // full queue fails with ErrQueueFull, a draining manager with
 // ErrShuttingDown.

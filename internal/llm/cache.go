@@ -41,15 +41,6 @@ type CacheStats struct {
 	Capacity  int
 }
 
-// HitRate is hits / (hits + misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 type cacheShard struct {
 	mu sync.Mutex
 	// entries holds both completed and in-flight entries. Only completed
@@ -177,8 +168,8 @@ func (c *Cache) Stats() CacheStats {
 
 // requestKey hashes every request field that influences the Response. The
 // Task oracle fields are part of the key because the Sim grades the prompt
-// against the hidden gold; two tasks sharing a prompt but differing in gold
-// must not collide.
+// against the hidden gold and corrupts SQL against the task's database; two
+// tasks sharing a prompt but differing in gold or database must not collide.
 func (c *Cache) requestKey(req Request) uint64 {
 	h := fnv.New64a()
 	write := func(parts ...string) {
@@ -196,9 +187,9 @@ func (c *Cache) requestKey(req Request) uint64 {
 		write(strconv.Itoa(req.Task.ID), req.Task.Variant, req.Task.NL,
 			req.Task.GoldSQL, string(req.Task.Class),
 			strconv.FormatFloat(req.Task.LinkNoise, 'g', -1, 64))
-	}
-	if req.SchemaInPrompt != nil {
-		write(req.SchemaInPrompt.Name, strconv.Itoa(len(req.SchemaInPrompt.Tables)))
+		if req.Task.DB != nil {
+			write(req.Task.DB.Name)
+		}
 	}
 	return h.Sum64()
 }

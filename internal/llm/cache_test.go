@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/schema"
 	"repro/internal/spider"
 )
 
@@ -62,6 +63,8 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		{Prompt: "p", N: 3, Seed: 1, CoT: true},
 		{Prompt: "p", N: 3, Seed: 1, Calibrated: true},
 		{Prompt: "p", N: 3, Seed: 1, Task: &spider.Example{ID: 7, GoldSQL: "SELECT 1"}},
+		{Prompt: "p", N: 3, Seed: 1, Task: &spider.Example{ID: 7, GoldSQL: "SELECT 1", DB: &schema.Database{Name: "concert_singer"}}},
+		{Prompt: "p", N: 3, Seed: 1, Task: &spider.Example{ID: 7, GoldSQL: "SELECT 1", DB: &schema.Database{Name: "pets_1"}}},
 	}
 	c.Complete(base)
 	for _, v := range variants {

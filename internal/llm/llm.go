@@ -19,7 +19,6 @@ package llm
 import (
 	"context"
 
-	"repro/internal/schema"
 	"repro/internal/spider"
 )
 
@@ -32,9 +31,6 @@ type Request struct {
 	// Task is the hidden oracle channel carrying the current example; see
 	// the package comment for the simulation contract.
 	Task *spider.Example
-	// SchemaInPrompt is the schema presented in the task section (pruned or
-	// full); linking difficulty scales with its size.
-	SchemaInPrompt *schema.Database
 	// CoT marks chain-of-thought prompting (DIN-SQL): reduces intent errors,
 	// more with the stronger tier.
 	CoT bool

@@ -15,14 +15,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add increases the counter by n (n must be >= 0; decreasing a counter is a
-// programming error and negative deltas are ignored).
-func (c *Counter) Add(n int64) {
-	if n > 0 {
-		c.v.Add(n)
-	}
-}
-
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 

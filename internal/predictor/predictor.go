@@ -181,28 +181,6 @@ func (m *Model) Predict(nl string, k int) []Prediction {
 	return out
 }
 
-// InventorySize returns the number of distinct skeletons seen in training.
-func (m *Model) InventorySize() int { return len(m.skeletons) }
-
-// TopKRecall measures how often the gold skeleton appears in the top-k
-// predictions over a benchmark — the recall property Section IV-B targets.
-func (m *Model) TopKRecall(examples []*spider.Example, k int) float64 {
-	if len(examples) == 0 {
-		return 0
-	}
-	hit := 0
-	for _, e := range examples {
-		gold := sqlir.SkeletonString(e.Gold)
-		for _, p := range m.Predict(e.NL, k) {
-			if p.Skeleton() == gold {
-				hit++
-				break
-			}
-		}
-	}
-	return float64(hit) / float64(len(examples))
-}
-
 // queryWords tokenizes NL for the scorer: lower-cased words plus adjacent
 // bigrams (bigrams capture cues like "not have" and "most common" that
 // discriminate operator compositions).

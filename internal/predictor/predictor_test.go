@@ -37,12 +37,28 @@ func TestPredictReturnsRankedBeam(t *testing.T) {
 	}
 }
 
+// topKRecall measures how often the gold skeleton appears in the top-k
+// predictions over a benchmark — the recall property Section IV-B targets.
+func topKRecall(m *Model, examples []*spider.Example, k int) float64 {
+	hit := 0
+	for _, e := range examples {
+		gold := sqlir.SkeletonString(e.Gold)
+		for _, p := range m.Predict(e.NL, k) {
+			if p.Skeleton() == gold {
+				hit++
+				break
+			}
+		}
+	}
+	return float64(hit) / float64(len(examples))
+}
+
 func TestTopKRecallImprovesWithK(t *testing.T) {
 	m, c := trained(t)
 	dev := c.Dev.Examples
-	r1 := m.TopKRecall(dev, 1)
-	r3 := m.TopKRecall(dev, 3)
-	r10 := m.TopKRecall(dev, 10)
+	r1 := topKRecall(m, dev, 1)
+	r3 := topKRecall(m, dev, 3)
+	r10 := topKRecall(m, dev, 10)
 	if r3 < r1 || r10 < r3 {
 		t.Errorf("recall not monotone in k: r1=%.3f r3=%.3f r10=%.3f", r1, r3, r10)
 	}
@@ -56,8 +72,8 @@ func TestTopKRecallImprovesWithK(t *testing.T) {
 
 func TestVariantDegradation(t *testing.T) {
 	m, c := trained(t)
-	std := m.TopKRecall(c.Dev.Examples, 3)
-	syn := m.TopKRecall(c.Syn.Examples, 3)
+	std := topKRecall(m, c.Dev.Examples, 3)
+	syn := topKRecall(m, c.Syn.Examples, 3)
 	// The SYN split shifts the lexical distribution, so the trained predictor
 	// should not do better there.
 	if syn > std+0.05 {
@@ -97,8 +113,8 @@ func TestNoiseChangesRanking(t *testing.T) {
 
 func TestInventoryCoversGoldSkeletons(t *testing.T) {
 	m, c := trained(t)
-	if m.InventorySize() < 10 {
-		t.Errorf("inventory too small: %d", m.InventorySize())
+	if len(m.skeletons) < 10 {
+		t.Errorf("inventory too small: %d", len(m.skeletons))
 	}
 	// Most dev gold skeletons should exist in the training inventory (the
 	// generalization gap is what the automaton's coarse levels cover).

@@ -164,8 +164,8 @@ func roundTrip(t *testing.T, m *Model) *Model {
 // bit-identical probabilities for every query and every k.
 func samePredictions(t *testing.T, what string, m *Model, ref *refModel, queries []string) {
 	t.Helper()
-	if m.InventorySize() != len(ref.skeletons) {
-		t.Fatalf("%s: inventory %d, reference %d", what, m.InventorySize(), len(ref.skeletons))
+	if len(m.skeletons) != len(ref.skeletons) {
+		t.Fatalf("%s: inventory %d, reference %d", what, len(m.skeletons), len(ref.skeletons))
 	}
 	ks := []int{0, 1, 2, 3, len(ref.skeletons), len(ref.skeletons) + 4}
 	for _, q := range queries {

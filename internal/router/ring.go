@@ -37,8 +37,8 @@ const maxPartitions = 1 << 16
 // binomially in the partition count instead of drifting with exponential
 // arc lengths, and membership changes are *exactly* minimal (a partition
 // changes owner only when its winning shard itself arrives or departs,
-// so no key ever moves between surviving shards). Lookup is one hash and
-// one table index: cheaper than a binary search, and allocation-free.
+// so no key ever moves between surviving shards). Lookup2 is one hash and
+// two table indexes: cheaper than a binary search, and allocation-free.
 type Ring struct {
 	shards []string
 	owner  []int16 // per-partition owning shard index
@@ -115,20 +115,12 @@ func (r *Ring) Shards() []string { return r.shards }
 // Len reports the number of shards on the ring.
 func (r *Ring) Len() int { return len(r.shards) }
 
-// Lookup maps a key to its owning shard. It allocates nothing — the
-// routing hot path runs under an atomic pointer load, and a lookup is one
-// hash and one table index. Empty rings return "".
-func (r *Ring) Lookup(key string) string {
-	if len(r.owner) == 0 {
-		return ""
-	}
-	return r.shards[r.owner[r.partition(key)]]
-}
-
 // Lookup2 maps a key to its owning shard and the replica successor — the
 // runner-up shard for the key's partition, the natural target for hedged
-// requests and failover. successor is "" on a single-shard ring.
-// Allocation-free, like Lookup.
+// requests and failover. successor is "" on a single-shard ring, and both
+// are "" on an empty one. It allocates nothing — the routing hot path runs
+// under an atomic pointer load, and a lookup is one hash and two table
+// indexes.
 func (r *Ring) Lookup2(key string) (primary, successor string) {
 	if len(r.owner) == 0 {
 		return "", ""

@@ -376,15 +376,6 @@ func (rt *Router) hedgeDelay() (time.Duration, bool) {
 // can register process gauges on the same exposition.
 func (rt *Router) Registry() *metrics.Registry { return rt.reg }
 
-// Healthy returns the shards currently in the routing table.
-func (rt *Router) Healthy() []string {
-	return append([]string(nil), rt.tab.Load().ring.Shards()...)
-}
-
-// Epoch returns the routing-table generation (bumped on every health
-// transition).
-func (rt *Router) Epoch() uint64 { return rt.tab.Load().epoch }
-
 // ---- HTTP surface ----
 
 // Handler returns the router's HTTP surface: /healthz (200 iff the table

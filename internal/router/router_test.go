@@ -92,14 +92,14 @@ func TestProxyRoutesByTenant(t *testing.T) {
 	ring := rt.tab.Load().ring
 	for i := 0; i < 10; i++ {
 		tenant := fmt.Sprintf("tenant-%d", i)
-		want := byAddr[ring.Lookup(tenant)]
+		want := byAddr[primary(ring, tenant)]
 		for rep := 0; rep < 3; rep++ {
 			shard, resp := get(t, front.URL, "/v1/databases/"+tenant)
 			if shard != want {
 				t.Fatalf("tenant %s went to %s, ring places it on %s", tenant, shard, want)
 			}
-			if got := resp.Header.Get(ShardHeader); got != ring.Lookup(tenant) {
-				t.Errorf("response %s = %q, want target addr %q", ShardHeader, got, ring.Lookup(tenant))
+			if got := resp.Header.Get(ShardHeader); got != primary(ring, tenant) {
+				t.Errorf("response %s = %q, want target addr %q", ShardHeader, got, primary(ring, tenant))
 			}
 		}
 	}
@@ -143,11 +143,11 @@ func deadAddr(t *testing.T) string {
 }
 
 // tenantOn finds a key the ring places on the wanted primary.
-func tenantOn(t *testing.T, ring *Ring, primary string) string {
+func tenantOn(t *testing.T, ring *Ring, owner string) string {
 	t.Helper()
 	for i := 0; i < 10000; i++ {
 		k := fmt.Sprintf("pick-%d", i)
-		if ring.Lookup(k) == primary {
+		if primary(ring, k) == owner {
 			return k
 		}
 	}
@@ -257,14 +257,14 @@ func TestEjectionAndReadmission(t *testing.T) {
 	defer front.Close()
 	ctx := t.Context()
 
-	if got := len(rt.Healthy()); got != 2 {
+	if got := len(rt.tab.Load().ring.Shards()); got != 2 {
 		t.Fatalf("healthy shards at boot = %d, want 2", got)
 	}
-	epoch0 := rt.Epoch()
+	epoch0 := rt.tab.Load().epoch
 
 	srv.Close()
 	rt.CheckNow(ctx)
-	if got := len(rt.Healthy()); got != 2 {
+	if got := len(rt.tab.Load().ring.Shards()); got != 2 {
 		t.Fatalf("one failed probe ejected the shard (healthy = %d); threshold is %d", got, ejectThreshold)
 	}
 	// Mid-ejection-window traffic keyed to the down shard still succeeds via
@@ -275,10 +275,10 @@ func TestEjectionAndReadmission(t *testing.T) {
 	}
 
 	rt.CheckNow(ctx)
-	if got := rt.Healthy(); len(got) != 1 || got[0] != alive.addr {
+	if got := rt.tab.Load().ring.Shards(); len(got) != 1 || got[0] != alive.addr {
 		t.Fatalf("after %d failed probes healthy = %v, want [%s]", ejectThreshold, got, alive.addr)
 	}
-	if rt.Epoch() == epoch0 {
+	if rt.tab.Load().epoch == epoch0 {
 		t.Error("ejection did not bump the table epoch")
 	}
 	if rt.mEject.Value() != 1 {
@@ -297,7 +297,7 @@ func TestEjectionAndReadmission(t *testing.T) {
 	go srv2.Serve(l2)
 	defer srv2.Close()
 	rt.CheckNow(ctx)
-	if got := len(rt.Healthy()); got != 2 {
+	if got := len(rt.tab.Load().ring.Shards()); got != 2 {
 		t.Fatalf("healthy after restart = %d, want 2 (readmit after one pass)", got)
 	}
 	if rt.mReadmit.Value() != 1 {
@@ -383,7 +383,7 @@ func TestNoHealthyShards(t *testing.T) {
 	ctx := t.Context()
 	rt.CheckNow(ctx)
 	rt.CheckNow(ctx)
-	if got := len(rt.Healthy()); got != 0 {
+	if got := len(rt.tab.Load().ring.Shards()); got != 0 {
 		t.Fatalf("healthy = %d, want 0", got)
 	}
 	for _, path := range []string{"/healthz", "/v1/databases/x"} {

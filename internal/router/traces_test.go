@@ -242,7 +242,15 @@ func TestTraceHedgeSiblings(t *testing.T) {
 		t.Fatalf("hedged request answered %d, want 200", resp.StatusCode)
 	}
 
-	tj := fetchTrace(t, front.URL, client.TraceID.String())
+	// A hedge win cancels the primary attempt without waiting for it, so
+	// its span can join the trace after the response: wait for it.
+	var tj trace.TraceJSON
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		tj = fetchTrace(t, front.URL, client.TraceID.String())
+		if len(spansNamed(tj, "proxy.attempt")) >= 2 || time.Now().After(deadline) {
+			break
+		}
+	}
 	roots := spansNamed(tj, "proxy")
 	attempts := spansNamed(tj, "proxy.attempt")
 	if len(roots) != 1 || len(attempts) != 2 {

@@ -270,10 +270,12 @@ func (d *Database) Clone() *Database {
 	return nd
 }
 
-// Prune returns a copy of the database containing only the kept tables and,
-// within them, only the kept columns (plus primary keys, which are always
-// retained so join semantics survive). keepCols maps lower-cased table name
-// to the set of lower-cased column names to keep; a nil set keeps all.
+// Prune returns the schema of the kept tables and, within them, of the kept
+// columns (plus primary keys, which are always retained so join semantics
+// survive), with the foreign keys between kept tables. It copies no rows:
+// a pruned schema is what a prompt shows, and queries run against the full
+// database. keepCols maps lower-cased table name to the set of lower-cased
+// column names to keep; a nil set keeps all.
 func (d *Database) Prune(keepTables []string, keepCols map[string]map[string]bool) *Database {
 	keepT := make(map[string]bool, len(keepTables))
 	for _, t := range keepTables {
@@ -286,8 +288,7 @@ func (d *Database) Prune(keepTables []string, keepCols map[string]map[string]boo
 		}
 		cols := keepCols[strings.ToLower(t.Name)]
 		nt := &Table{Name: t.Name, NLName: t.NLName, PrimaryKey: t.PrimaryKey}
-		var keptIdx []int
-		for i, c := range t.Columns {
+		for _, c := range t.Columns {
 			keep := cols == nil || cols[strings.ToLower(c.Name)] ||
 				strings.EqualFold(c.Name, t.PrimaryKey)
 			if !keep {
@@ -301,15 +302,7 @@ func (d *Database) Prune(keepTables []string, keepCols map[string]map[string]boo
 			}
 			if keep {
 				nt.Columns = append(nt.Columns, c)
-				keptIdx = append(keptIdx, i)
 			}
-		}
-		for _, r := range t.Rows {
-			nr := make([]Value, len(keptIdx))
-			for j, i := range keptIdx {
-				nr[j] = r[i]
-			}
-			nt.Rows = append(nt.Rows, nr)
 		}
 		nd.Tables = append(nd.Tables, nt)
 	}

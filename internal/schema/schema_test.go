@@ -116,9 +116,9 @@ func TestPruneKeepsPKAndFK(t *testing.T) {
 	if len(pruned.ForeignKeys) != 1 {
 		t.Errorf("fk list wrong: %v", pruned.ForeignKeys)
 	}
-	// Rows narrowed to kept columns.
-	if len(a.Rows[0]) != len(a.Columns) {
-		t.Error("row width mismatch after pruning")
+	// A pruned schema is a prompt's view: it carries no rows.
+	if len(a.Rows) != 0 || len(b.Rows) != 0 {
+		t.Errorf("pruned tables carry rows: a has %d, b has %d", len(a.Rows), len(b.Rows))
 	}
 }
 

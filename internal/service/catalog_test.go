@@ -424,14 +424,14 @@ func TestResultCacheEvictedWithJobs(t *testing.T) {
 		t.Fatal("poll did not memoize rendered results")
 	}
 	// A snapshot taken before the GC, as a handler mid-render would hold.
-	stale, err := s.Jobs().Get(created.ID)
+	stale, err := s.jobs.Get(created.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Advance the synthetic clock past the TTL: the GC deletes the job and
 	// the evict hook must drop the memoized rendering with it.
-	if n := s.Jobs().GC(time.Now().Add(2 * time.Minute)); n != 1 {
+	if n := s.jobs.GC(time.Now().Add(2 * time.Minute)); n != 1 {
 		t.Fatalf("GC removed %d jobs, want 1", n)
 	}
 	s.resMu.Lock()

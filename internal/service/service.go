@@ -90,9 +90,6 @@ func WithCatalog(c *catalog.Catalog) Option {
 	return func(s *Server) { s.catalog = c }
 }
 
-// Catalog exposes the tenant registry (nil unless WithCatalog was passed).
-func (s *Server) Catalog() *catalog.Catalog { return s.catalog }
-
 // WithShardID marks this server as one shard of a routed topology: every
 // response carries an X-NL2SQL-Shard header naming the serving shard, so
 // hedged and retried requests stay attributable end to end.
@@ -108,9 +105,6 @@ const ShardHeader = "X-NL2SQL-Shard"
 // layers open children through the request context, and GET /v1/traces
 // serves the capture rings. A nil tracer leaves tracing disabled.
 func WithTracer(t *trace.Tracer) Option { return func(s *Server) { s.tracer = t } }
-
-// Tracer exposes the tracer (nil unless WithTracer was passed).
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // New builds a server around a constructed pipeline and its corpus. The
 // server owns a metrics registry (see Registry): every route records
@@ -163,9 +157,6 @@ func New(p *core.Pipeline, c *spider.Corpus, opts ...Option) *Server {
 // what the server does not own — process gauges, the pipeline's LLM cache —
 // on the same /v1/metrics exposition.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
-
-// Jobs exposes the job manager (nil unless WithJobs was passed).
-func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 
 // Shutdown gracefully drains the job subsystem: admission stops, queued
 // jobs are cancelled, and running jobs get until ctx expires to finish

@@ -3,7 +3,6 @@ package spider
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"repro/internal/schema"
 )
@@ -110,21 +109,4 @@ func genValue(pool attrPool, spec domainSpec, rng *rand.Rand) schema.Value {
 		return schema.N(float64(1 + rng.Intn(10)))
 	}
 	return schema.Null()
-}
-
-// nlNameOf returns the natural-language name of a column in a table.
-func nlNameOf(db *schema.Database, table, column string) string {
-	t := db.Table(table)
-	if t == nil {
-		return column
-	}
-	for _, c := range t.Columns {
-		if strings.EqualFold(c.Name, column) {
-			if c.NLName != "" {
-				return c.NLName
-			}
-			return c.Name
-		}
-	}
-	return column
 }

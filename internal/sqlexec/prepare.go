@@ -69,15 +69,6 @@ type PlanCacheStats struct {
 	Capacity  int
 }
 
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (s PlanCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // PlanCache is a keyed LRU of prepared statements. The key is (schema
 // fingerprint, SQL text), so a hit skips parsing and planning entirely, and
 // databases that share a schema — the TS metric's distilled instances —

@@ -26,8 +26,8 @@ func Parse(input string) (*Select, error) {
 	return sel, nil
 }
 
-// MustParse parses SQL known to be valid; it panics on error. It is intended
-// for tests and for literals constructed by the corpus generator.
+// MustParse parses SQL known to be valid; it panics on error. It is the
+// parse helper the tests of several packages share.
 func MustParse(input string) *Select {
 	sel, err := Parse(input)
 	if err != nil {

@@ -63,13 +63,3 @@ func Skeleton(sel *Select) []string {
 func SkeletonString(sel *Select) string {
 	return strings.Join(Skeleton(sel), " ")
 }
-
-// SkeletonOf parses a SQL string and returns its skeleton string; it returns
-// the empty string when the SQL does not parse.
-func SkeletonOf(sql string) string {
-	sel, err := Parse(sql)
-	if err != nil {
-		return ""
-	}
-	return SkeletonString(sel)
-}

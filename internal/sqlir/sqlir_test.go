@@ -140,9 +140,12 @@ func TestParseHallucinatedFunction(t *testing.T) {
 	}
 }
 
+// skeletonOf is the Detail-Level skeleton string of SQL that must parse.
+func skeletonOf(sql string) string { return SkeletonString(MustParse(sql)) }
+
 func TestSkeletonPaperExample(t *testing.T) {
 	sql := "SELECT Country FROM TV_CHANNEL EXCEPT SELECT T1.Country FROM TV_CHANNEL AS T1 JOIN CARTOON AS T2 ON T1.id = T2.Channel WHERE T2.Written_by = 'Todd Casey'"
-	got := SkeletonOf(sql)
+	got := skeletonOf(sql)
 	want := "SELECT _ FROM _ EXCEPT SELECT _ FROM _ JOIN _ ON _ = _ WHERE _ = _"
 	if got != want {
 		t.Errorf("skeleton mismatch:\n got %q\nwant %q", got, want)
@@ -151,7 +154,7 @@ func TestSkeletonPaperExample(t *testing.T) {
 
 func TestSkeletonNotIn(t *testing.T) {
 	sql := "SELECT Country FROM TV_CHANNEL WHERE id NOT IN (SELECT Channel FROM CARTOON WHERE Written_by = 'Todd Casey')"
-	got := SkeletonOf(sql)
+	got := skeletonOf(sql)
 	want := "SELECT _ FROM _ WHERE _ NOT IN ( SELECT _ FROM _ WHERE _ = _ )"
 	if got != want {
 		t.Errorf("skeleton mismatch:\n got %q\nwant %q", got, want)
@@ -159,7 +162,7 @@ func TestSkeletonNotIn(t *testing.T) {
 }
 
 func TestSkeletonMasksValuesAndLimit(t *testing.T) {
-	got := SkeletonOf("SELECT name FROM singer ORDER BY age DESC LIMIT 5")
+	got := skeletonOf("SELECT name FROM singer ORDER BY age DESC LIMIT 5")
 	want := "SELECT _ FROM _ ORDER BY _ DESC LIMIT _"
 	if got != want {
 		t.Errorf("got %q want %q", got, want)
@@ -167,16 +170,19 @@ func TestSkeletonMasksValuesAndLimit(t *testing.T) {
 }
 
 func TestSkeletonCollapsesQualifiedNames(t *testing.T) {
-	a := SkeletonOf("SELECT T1.name FROM singer AS T1 WHERE T1.age > 5")
-	b := SkeletonOf("SELECT name FROM singer WHERE age > 5")
+	a := skeletonOf("SELECT T1.name FROM singer AS T1 WHERE T1.age > 5")
+	b := skeletonOf("SELECT name FROM singer WHERE age > 5")
 	if a != b {
 		t.Errorf("qualified and bare skeletons differ: %q vs %q", a, b)
 	}
 }
 
+// TestSkeletonInvalidSQL: a skeleton needs a parse, and unparsable SQL has
+// none — Parse rejects it, and callers that skeletonize SQL text (llm.Sim
+// grading a prompt's demonstrations) skip what does not parse.
 func TestSkeletonInvalidSQL(t *testing.T) {
-	if got := SkeletonOf("not sql at all ((("); got != "" {
-		t.Errorf("invalid SQL should give empty skeleton, got %q", got)
+	if sel, err := Parse("not sql at all ((("); err == nil {
+		t.Errorf("invalid SQL parsed, skeleton %q", SkeletonString(sel))
 	}
 }
 
@@ -237,7 +243,7 @@ func TestQuickSkeletonIdempotent(t *testing.T) {
 		"SELECT T1.a FROM t AS T1 JOIN u AS T2 ON T1.id = T2.id WHERE T2.b LIKE '%x%'",
 	}
 	for _, sql := range cases {
-		sk := SkeletonOf(sql)
+		sk := skeletonOf(sql)
 		for _, tok := range strings.Fields(sk) {
 			if tok == "_" || tok == "(" || tok == ")" {
 				continue

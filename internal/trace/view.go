@@ -40,14 +40,6 @@ func (l Link) Span(name string, start time.Time) *Span {
 	return &Span{rec: l.rec, id: newSpanID(), parent: l.parent, name: name, start: start}
 }
 
-// TraceID returns the linked trace's hex ID, or "".
-func (l Link) TraceID() string {
-	if l.rec == nil {
-		return ""
-	}
-	return l.rec.id.String()
-}
-
 // SpanJSON is the wire form of one span in a trace tree.
 type SpanJSON struct {
 	SpanID     string         `json:"span_id"`
