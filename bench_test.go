@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,114 +12,21 @@ import (
 	"repro/internal/llm"
 )
 
-// Benchmarks: one per table and figure of the paper's evaluation section.
-// Each benchmark evaluates the relevant strategies over the dev (or
-// variant) split at a reduced corpus scale and reports accuracy metrics via
-// b.ReportMetric, printing the regenerated table once per run. Scale and
-// evaluation limits are tunable:
-//
-//	go test -bench=Table4 -benchtime=1x -bench-scale=0.2 -bench-limit=400
-//
-// Full-paper-scale regeneration is `cmd/benchmarks -scale 1`.
-
-var (
-	benchScale = flag.Float64("bench-scale", 0.12, "corpus scale for benchmarks")
-	benchLimit = flag.Int("bench-limit", 150, "examples evaluated per strategy")
-)
+// Engine benchmarks: batch translation through core.Engine's worker pool.
+// The paper's tables and figures are regenerated by `cmd/benchmarks -exp`.
 
 var (
 	envOnce sync.Once
 	envInst *exp.Env
 )
 
+// benchEnv is the scale-0.12 environment the ungated engine benchmarks
+// share, built on first use.
 func benchEnv() *exp.Env {
 	envOnce.Do(func() {
-		envInst = exp.NewEnv(1, *benchScale)
+		envInst = exp.NewEnv(1, 0.12)
 	})
 	return envInst
-}
-
-func opts() exp.RunOptions { return exp.RunOptions{Limit: *benchLimit} }
-
-// report runs fn once per benchmark iteration and prints the regenerated
-// artifact on the first iteration.
-func report(b *testing.B, fn func() string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		out := fn()
-		if i == 0 {
-			fmt.Println(out)
-		}
-	}
-}
-
-// BenchmarkTable1_BaselineAccuracy regenerates Table 1: EM/EX of the prior
-// LLM-based approaches on Spider dev.
-func BenchmarkTable1_BaselineAccuracy(b *testing.B) {
-	env := benchEnv()
-	report(b, func() string { return env.Table1(opts()) })
-}
-
-// BenchmarkTable3_BenchmarkStats regenerates Table 3: corpus statistics.
-func BenchmarkTable3_BenchmarkStats(b *testing.B) {
-	env := benchEnv()
-	report(b, env.Table3)
-}
-
-// BenchmarkTable4_OverallAccuracy regenerates Table 4: EM/EX/TS for
-// PLM-based, LLM-based and PURPLE rows.
-func BenchmarkTable4_OverallAccuracy(b *testing.B) {
-	env := benchEnv()
-	report(b, func() string { return env.Table4(opts()) })
-}
-
-// BenchmarkFigure9_HardnessBreakdown regenerates Figure 9: EM/EX by SQL
-// hardness bucket.
-func BenchmarkFigure9_HardnessBreakdown(b *testing.B) {
-	env := benchEnv()
-	report(b, func() string { return env.Figure9(opts()) })
-}
-
-// BenchmarkFigure10_Generalization regenerates Figure 10: EM/EX on
-// Spider-DK / Spider-SYN / Spider-Realistic.
-func BenchmarkFigure10_Generalization(b *testing.B) {
-	env := benchEnv()
-	report(b, func() string { return env.Figure10(opts()) })
-}
-
-// BenchmarkFigure11_BudgetGrid regenerates Figure 11: the len × num budget
-// grid with token accounting.
-func BenchmarkFigure11_BudgetGrid(b *testing.B) {
-	env := benchEnv()
-	o := opts()
-	if o.Limit > 60 {
-		o.Limit = 60 // 20 grid cells; keep the grid affordable
-	}
-	report(b, func() string { return env.Figure11(o) })
-}
-
-// BenchmarkFigure12_SelectionRobustness regenerates Figure 12: selection
-// policy and skeleton-noise robustness.
-func BenchmarkFigure12_SelectionRobustness(b *testing.B) {
-	env := benchEnv()
-	o := opts()
-	if o.Limit > 60 {
-		o.Limit = 60 // 24 configurations
-	}
-	report(b, func() string { return env.Figure12(o) })
-}
-
-// BenchmarkTable5_LLMComparison regenerates Table 5: ChatGPT vs GPT4 per
-// strategy.
-func BenchmarkTable5_LLMComparison(b *testing.B) {
-	env := benchEnv()
-	report(b, func() string { return env.Table5(opts()) })
-}
-
-// BenchmarkTable6_Ablation regenerates Table 6: the module ablations.
-func BenchmarkTable6_Ablation(b *testing.B) {
-	env := benchEnv()
-	report(b, func() string { return env.Table6(opts()) })
 }
 
 // BenchmarkEngineBatch measures batch-translation throughput across
@@ -149,8 +55,8 @@ func BenchmarkEngineBatch(b *testing.B) {
 
 // BenchmarkEngineBatchTranslate is the gated batch-engine benchmark
 // (BENCH_executor.txt): 24 dev tasks of a scale-0.05 corpus through a
-// 4-worker engine per iteration. It builds its own corpus, independent of
-// -bench-scale, so the committed numbers stay comparable.
+// 4-worker engine per iteration. It builds its own corpus, so the
+// committed numbers stay comparable.
 func BenchmarkEngineBatchTranslate(b *testing.B) {
 	b.ReportAllocs()
 	env := exp.NewEnv(1, 0.05)

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"slices"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -34,18 +32,17 @@ var shutdownSignals = []os.Signal{syscall.SIGINT, syscall.SIGTERM}
 // appConfig is the server's effective configuration — main fills it from
 // flags; the shutdown test fills it directly.
 type appConfig struct {
-	Addr           string
-	Scale          float64
-	Seed           int64
-	Workers        int
-	CacheCap       int
-	JobRunners     int
-	JobQueue       int
-	JobTTL         time.Duration
-	DrainTimeout   time.Duration
-	MaxTenants     int
-	TenantIdleTTL  time.Duration
-	BootstrapSeeds string
+	Addr          string
+	Scale         float64
+	Seed          int64
+	Workers       int
+	CacheCap      int
+	JobRunners    int
+	JobQueue      int
+	JobTTL        time.Duration
+	DrainTimeout  time.Duration
+	MaxTenants    int
+	TenantIdleTTL time.Duration
 	// DataDir, when set, makes tenant state durable: catalog mutations go
 	// to a WAL and tenant snapshots persist under this directory, so a
 	// restart recovers every registered tenant without re-training.
@@ -134,10 +131,6 @@ func newApp(cfg appConfig) (*app, error) {
 		return newRouterApp(cfg)
 	}
 	start := time.Now()
-	bootSeeds, err := parseBootstrapSeeds(cfg.BootstrapSeeds, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
 	slog.Info("generating corpus and training pipeline", "scale", cfg.Scale, "seed", cfg.Seed)
 	corpus := spider.GenerateSmall(cfg.Seed, cfg.Scale)
 	sim := llm.Client(llm.NewSim(llm.ChatGPT))
@@ -180,18 +173,11 @@ func newApp(cfg appConfig) (*app, error) {
 			TTL:     cfg.JobTTL,
 		}))
 	}
+	pipeline := core.New(corpus.Train.Examples, client, core.DefaultConfig())
 	var cat *catalog.Catalog
 	var st *store.Store
 	if cfg.MaxTenants > 0 {
-		// The warming fallback trains on the union of several seed corpora:
-		// broader skeleton and vocabulary coverage than any single seed, so
-		// a freshly registered tenant's fallback pipeline generalizes
-		// better while its own models build. The corpora are generated and
-		// the models trained on first use (the first registration, or the
-		// first load of a stored tenant without models), not at boot.
-		fallback := catalog.NewFallback(func() []*spider.Example {
-			return bootstrapExamples(corpus, bootSeeds, cfg.Scale)
-		}, "seeds", bootSeeds)
+		var err error
 		if cfg.DataDir != "" {
 			st, err = store.Open(cfg.DataDir, store.Options{Instance: storeInstance(cfg.ShardID)})
 			if err != nil {
@@ -202,9 +188,11 @@ func newApp(cfg appConfig) (*app, error) {
 				"tenants", ss.Recovered, "wal_records", ss.WALReplayed,
 				"recovery_ms", ss.RecoveryMs, "snapshots", ss.Snapshots, "snapshot_bytes", ss.SnapshotB)
 		}
+		// Warming tenants run on the shard pipeline's models; the tenants
+		// wrap the raw backend in their own caches.
 		cat, err = catalog.New(catalog.Config{
-			Client:       base, // tenants wrap the raw backend in their own caches
-			Fallback:     fallback,
+			Client:       base,
+			Base:         pipeline,
 			MaxTenants:   cfg.MaxTenants,
 			IdleTTL:      cfg.TenantIdleTTL,
 			Store:        st,
@@ -222,7 +210,6 @@ func newApp(cfg appConfig) (*app, error) {
 	if cfg.ShardID != "" {
 		opts = append(opts, service.WithShardID(cfg.ShardID))
 	}
-	pipeline := core.New(corpus.Train.Examples, client, core.DefaultConfig())
 	svc := service.New(pipeline, corpus, opts...)
 	metrics.RegisterProcess(svc.Registry())
 	if cache != nil {
@@ -389,35 +376,4 @@ func (a *app) run(ctx context.Context) error {
 		}
 	}
 	return drainErr
-}
-
-// parseBootstrapSeeds parses -bootstrap-seeds into the corpus seeds whose
-// training splits train the catalog's fallback: the main corpus's seed
-// first, then each listed seed once, in list order.
-func parseBootstrapSeeds(list string, mainSeed int64) ([]int64, error) {
-	seeds := []int64{mainSeed}
-	for _, f := range strings.Split(list, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		s, err := strconv.ParseInt(f, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -bootstrap-seeds entry %q: %v", f, err)
-		}
-		if !slices.Contains(seeds, s) {
-			seeds = append(seeds, s)
-		}
-	}
-	return seeds, nil
-}
-
-// bootstrapExamples unions the training splits of seeds, reusing the
-// already-generated main corpus for seeds[0].
-func bootstrapExamples(main *spider.Corpus, seeds []int64, scale float64) []*spider.Example {
-	out := append([]*spider.Example(nil), main.Train.Examples...)
-	for _, s := range seeds[1:] {
-		out = append(out, spider.GenerateSmall(s, scale).Train.Examples...)
-	}
-	return out
 }

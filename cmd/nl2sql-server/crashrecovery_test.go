@@ -57,7 +57,6 @@ func TestCrashRecovery(t *testing.T) {
 			"-addr", "127.0.0.1:0",
 			"-data-dir", dataDir,
 			"-scale", "0.02",
-			"-bootstrap-seeds", "1", // single seed: fast boot, deterministic fallback
 			"-max-tenants", "8",
 		)
 		stderr, err := cmd.StderrPipe()

@@ -68,7 +68,6 @@ func main() {
 	flag.DurationVar(&cfg.DrainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown budget per drain stage (HTTP, jobs, catalog)")
 	flag.IntVar(&cfg.MaxTenants, "max-tenants", 64, "registered-database cap; past it the least-recently-used tenant is evicted (0 disables the catalog)")
 	flag.DurationVar(&cfg.TenantIdleTTL, "tenant-idle-ttl", 0, "evict tenants unused for this long (0 disables idle eviction)")
-	flag.StringVar(&cfg.BootstrapSeeds, "bootstrap-seeds", "1,2", "comma-separated corpus seeds whose training splits (with -seed's, each seed once) train the catalog's shared warming models on the first tenant registration, not at boot")
 	flag.StringVar(&cfg.DataDir, "data-dir", "", "directory for durable tenant state (WAL fsynced per append + snapshots); empty keeps the catalog memory-only")
 	flag.Int64Var(&cfg.TenantMemBudget, "tenant-mem-budget", 0, "resident-bytes budget for store-backed tenants (snapshot-size proxy); past it idle ready tenants unload to stubs (0 = unlimited)")
 	flag.BoolVar(&cfg.Pprof, "pprof", false, "mount net/http/pprof debug endpoints under /debug/pprof/")

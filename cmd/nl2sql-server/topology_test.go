@@ -47,16 +47,15 @@ type shardProc struct {
 func startShard(t *testing.T, dir, addr string) *shardProc {
 	t.Helper()
 	a, err := newApp(appConfig{
-		Addr:           addr,
-		Scale:          0.02,
-		Seed:           1,
-		Workers:        1,
-		JobRunners:     0,
-		DrainTimeout:   10 * time.Second,
-		MaxTenants:     16,
-		BootstrapSeeds: "1",
-		DataDir:        dir,
-		ShardID:        addr,
+		Addr:         addr,
+		Scale:        0.02,
+		Seed:         1,
+		Workers:      1,
+		JobRunners:   0,
+		DrainTimeout: 10 * time.Second,
+		MaxTenants:   16,
+		DataDir:      dir,
+		ShardID:      addr,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -77,20 +77,17 @@ func registration() service.RegisterRequest {
 }
 
 func main() {
-	// Server side: a small benchmark corpus trains the default pipeline and
-	// the catalog's shared warming models. A real deployment runs
-	// cmd/nl2sql-server instead; everything below the ---- line is plain
-	// HTTP and works identically against it.
+	// Server side: a small benchmark corpus trains the default pipeline,
+	// whose models also serve registered databases while they warm. A real
+	// deployment runs cmd/nl2sql-server instead; everything below the ----
+	// line is plain HTTP and works identically against it.
 	corpus := spider.GenerateSmall(9, 0.06)
 	client := llm.NewSim(llm.ChatGPT)
-	cat, err := catalog.New(catalog.Config{
-		Client:   client,
-		Fallback: catalog.NewFallback(func() []*spider.Example { return corpus.Train.Examples }),
-	})
+	pipeline := core.New(corpus.Train.Examples, client, core.DefaultConfig())
+	cat, err := catalog.New(catalog.Config{Client: client, Base: pipeline})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pipeline := core.New(corpus.Train.Examples, client, core.DefaultConfig())
 	svc := service.New(pipeline, corpus, service.WithCatalog(cat))
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -98,7 +95,8 @@ func main() {
 	// ---- client side: the HTTP integration path ----
 
 	// 1. Register the database. The response is immediate: the tenant
-	// serves from shared fallback models ("warming") while its own train.
+	// serves on the server pipeline's models ("warming") while its own
+	// train.
 	var status service.DatabaseStatusResponse
 	post(ts.URL+"/v1/databases", registration(), &status)
 	fmt.Printf("registered %q: state=%s version=%d tables=%v\n",

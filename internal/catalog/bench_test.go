@@ -39,7 +39,7 @@ func benchConfig(b *testing.B) Config {
 		log.SetOutput(w)
 		log.SetFlags(flags)
 	})
-	return Config{Client: llm.NewSim(llm.ChatGPT), Fallback: testFallback()}
+	return Config{Client: llm.NewSim(llm.ChatGPT), Base: testBase()}
 }
 
 // roomyBuilds is a build manager large enough that no measured registration

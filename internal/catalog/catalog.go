@@ -16,14 +16,13 @@
 //
 // Registration is cheap and synchronous: the schema is validated and
 // fingerprinted, demos parsed, and a *warming* snapshot — the tenant's own
-// demos over the catalog's shared fallback models — is published
-// immediately. The fallback models train on the catalog's first
-// registration (or first load of a stored snapshot without models); later
-// ones reuse them. The expensive artifacts (tenant-trained classifier and
-// predictor) build asynchronously through the jobs machinery; when the
-// build lands the snapshot swaps to *ready*. Re-registration bumps the
-// version, invalidates the retired fingerprint's plans in the shared
-// sqlexec cache, and discards any in-flight build for the old version.
+// demos over the base pipeline's classifier and predictor, the models the
+// shard already trained on its own corpus — is published immediately. The
+// expensive artifacts (tenant-trained classifier and predictor) build
+// asynchronously through the jobs machinery; when the build lands the
+// snapshot swaps to *ready*. Re-registration bumps the version,
+// invalidates the retired fingerprint's plans in the shared sqlexec cache,
+// and discards any in-flight build for the old version.
 package catalog
 
 import (
@@ -42,10 +41,8 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/llm"
 	"repro/internal/predictor"
-	"repro/internal/spider"
 	"repro/internal/sqlexec"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // Typed errors surfaced to the service layer.
@@ -62,59 +59,15 @@ var (
 	ErrClosed = errors.New("catalog: closed")
 )
 
-// Fallback bundles the shared substrate models that serve a tenant while
-// its own models train: a classifier and predictor fitted on a bootstrap
-// corpus. One Fallback is shared read-only by every warming tenant. It
-// trains on first use — the first registration, or the first load of a
-// stored snapshot without models — so a catalog that never warms a tenant
-// never builds the bootstrap corpus or pays for the training.
-type Fallback struct {
-	bootstrap func() []*spider.Example
-	logAttrs  []any
-
-	once sync.Once
-	clf  *classifier.Model
-	pred *predictor.Model
-}
-
-// NewFallback returns fallback models that train, on first use, on the
-// demonstrations bootstrap returns (typically the union of several seed
-// corpora's training splits). bootstrap is called once, while the
-// registration or load that first needs the models waits, so it must not
-// call back into the catalog. logAttrs are key-value pairs added to the
-// "catalog fallback trained" log line.
-func NewFallback(bootstrap func() []*spider.Example, logAttrs ...any) *Fallback {
-	return &Fallback{bootstrap: bootstrap, logAttrs: logAttrs}
-}
-
-// models returns the fallback models, training them on the first call;
-// concurrent first callers wait for that one training. The training is
-// recorded as a catalog.fallback_train span under link, the request that
-// triggered it.
-func (f *Fallback) models(link trace.Link) (*classifier.Model, *predictor.Model) {
-	f.once.Do(func() {
-		start := time.Now()
-		train := f.bootstrap()
-		f.clf, f.pred = classifier.Train(train), predictor.Train(train)
-		sp := link.Span("catalog.fallback_train", start)
-		sp.SetAttrs(trace.Int("demos", int64(len(train))))
-		sp.Finish()
-		slog.Info("catalog fallback trained", append(f.logAttrs,
-			"demos", len(train), "ms", time.Since(start).Milliseconds())...)
-	})
-	return f.clf, f.pred
-}
-
-// Config parameterizes a Catalog. Client and Fallback are required.
+// Config parameterizes a Catalog. Client and Base are required.
 type Config struct {
 	// Client is the base LLM backend shared by every tenant (each tenant
 	// wraps it in its own 1,024-entry cache).
 	Client llm.Client
-	// Fallback supplies the shared warming models.
-	Fallback *Fallback
-	// Pipeline is the per-tenant pipeline configuration (nil selects
-	// core.DefaultConfig).
-	Pipeline *core.Config
+	// Base is the shard's own pipeline. Every tenant pipeline runs with its
+	// configuration, and every warming one on its classifier and predictor;
+	// its LLM client is not used.
+	Base *core.Pipeline
 	// MaxTenants caps the registry; registering past it LRU-evicts the
 	// least-recently-used tenant (default 64).
 	MaxTenants int
@@ -146,10 +99,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.MaxTenants <= 0 {
 		c.MaxTenants = 64
-	}
-	if c.Pipeline == nil {
-		p := core.DefaultConfig()
-		c.Pipeline = &p
 	}
 	return c
 }
@@ -306,8 +255,8 @@ func New(cfg Config) (*Catalog, error) {
 	if cfg.Client == nil {
 		return nil, fmt.Errorf("catalog: Config.Client is required")
 	}
-	if cfg.Fallback == nil {
-		return nil, fmt.Errorf("catalog: Config.Fallback is required")
+	if cfg.Base == nil {
+		return nil, fmt.Errorf("catalog: Config.Base is required")
 	}
 	cfg = cfg.withDefaults()
 	c := &Catalog{
@@ -396,11 +345,9 @@ func (c *Catalog) register(reg Registration, replace bool) (*Snapshot, error) {
 	key := strings.ToLower(reg.DB.Name)
 
 	// Build the warming snapshot outside the lock: the pipeline over the
-	// tenant's demos with the shared fallback models. This is the cheap
+	// tenant's demos with the base pipeline's models. This is the cheap
 	// part — hierarchy construction and demo rendering scale with the demo
-	// pool, not the bootstrap corpus — except on the catalog's first
-	// registration, which trains the fallback.
-	clf, pred := c.cfg.Fallback.models(reg.Trace)
+	// pool, and nothing trains.
 	warming := c.resident(&Snapshot{
 		Name:        reg.DB.Name,
 		State:       StateWarming,
@@ -408,7 +355,7 @@ func (c *Catalog) register(reg Registration, replace bool) (*Snapshot, error) {
 		DB:          reg.DB,
 		Demos:       demos,
 		Registered:  c.now(),
-	}, clf, pred)
+	}, c.cfg.Base.Classifier(), c.cfg.Base.Predictor())
 
 	c.mu.Lock()
 	if c.closed {
@@ -512,7 +459,7 @@ func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot) func(context.
 		}
 		ready := *warming
 		ready.State = StateReady
-		ready.Pipeline = core.NewWithModels(warming.Demos, warming.Cache, *c.cfg.Pipeline, clf, pred)
+		ready.Pipeline = core.NewWithModels(warming.Demos, warming.Cache, c.cfg.Base.Config(), clf, pred)
 		ready.Built = c.now()
 
 		c.mu.Lock()
@@ -554,7 +501,7 @@ func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot) func(context.
 func (c *Catalog) resident(s *Snapshot, clf *classifier.Model, pred *predictor.Model) *Snapshot {
 	s.Cache = llm.NewCache(c.cfg.Client, tenantCacheEntries)
 	s.Plans = sqlexec.NewPlanCache(tenantPlanEntries)
-	s.Pipeline = core.NewWithModels(s.Demos, s.Cache, *c.cfg.Pipeline, clf, pred)
+	s.Pipeline = core.NewWithModels(s.Demos, s.Cache, c.cfg.Base.Config(), clf, pred)
 	return s
 }
 

@@ -8,36 +8,34 @@ import (
 	"time"
 
 	"repro/internal/benchfix"
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/llm"
 	"repro/internal/schema"
 	"repro/internal/spider"
 	"repro/internal/sqlexec"
-	"repro/internal/trace"
 )
 
-// Shared test substrate: training the fallback models once keeps the suite
-// fast; the models are read-only after training. They are trained here,
-// before any test or benchmark uses them, so no measured registration pays
-// for the training.
+// Shared test substrate: the base pipeline, built once over a small corpus
+// and read-only afterwards. Every test and benchmark gets it from here, so
+// no measured registration pays for its training.
 var (
-	fbOnce sync.Once
-	fb     *Fallback
+	baseOnce sync.Once
+	base     *core.Pipeline
 )
 
-func testFallback() *Fallback {
-	fbOnce.Do(func() {
+func testBase() *core.Pipeline {
+	baseOnce.Do(func() {
 		c := spider.GenerateSmall(7, 0.03)
-		fb = NewFallback(func() []*spider.Example { return c.Train.Examples })
-		fb.models(trace.Link{})
+		base = core.New(c.Train.Examples, llm.NewSim(llm.ChatGPT), core.DefaultConfig())
 	})
-	return fb
+	return base
 }
 
 func testConfig() Config {
 	return Config{
-		Client:   llm.NewSim(llm.ChatGPT),
-		Fallback: testFallback(),
+		Client: llm.NewSim(llm.ChatGPT),
+		Base:   testBase(),
 	}
 }
 
@@ -104,7 +102,7 @@ func TestRegisterLifecycle(t *testing.T) {
 		t.Error("warming snapshot must not carry a Built time")
 	}
 
-	// The warming snapshot translates immediately via fallback models.
+	// The warming snapshot translates immediately on the base models.
 	tn, ok := c.Lookup("SHOP1") // lookups are case-insensitive
 	if !ok {
 		t.Fatal("lookup failed")

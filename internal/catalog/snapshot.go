@@ -11,15 +11,14 @@ import (
 	"repro/internal/spider"
 	"repro/internal/sqlexec"
 	"repro/internal/sqlir"
-	"repro/internal/trace"
 )
 
 // State is a tenant snapshot's readiness phase.
 type State string
 
 // Snapshot states. A tenant serves from the moment it is registered:
-// Warming means its pipeline runs on the catalog's shared fallback models
-// while the per-tenant models train asynchronously; Ready means the trained
+// Warming means its pipeline runs on the base pipeline's models while the
+// per-tenant models train asynchronously; Ready means the trained
 // models have been published. Stored is a durability stub: the tenant's
 // state lives in the snapshot store (WAL-recovered at startup, or unloaded
 // by the memory-budget accountant) and only Name, Version, Fingerprint and
@@ -45,10 +44,6 @@ type Demo struct {
 type Registration struct {
 	DB    *schema.Database
 	Demos []Demo
-	// Trace optionally links the registration to the request's trace: the
-	// catalog's first registration records the fallback training there.
-	// The zero Link is inert.
-	Trace trace.Link
 }
 
 // Snapshot is the immutable per-tenant artifact bundle: everything a
@@ -61,8 +56,8 @@ type Snapshot struct {
 	Name string
 	// Version counts registrations of this name, starting at 1.
 	Version int
-	// State reports whether the pipeline runs on fallback (warming) or
-	// tenant-trained (ready) models.
+	// State reports whether the pipeline runs on the base pipeline's
+	// (warming) or tenant-trained (ready) models.
 	State State
 	// Fingerprint is the schema fingerprint plans and caches are keyed by.
 	Fingerprint uint64

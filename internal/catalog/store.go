@@ -16,7 +16,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/predictor"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // recoverFromStore replays the store's WAL-recovered tenant set into
@@ -147,7 +146,7 @@ func (c *Catalog) ensureLoaded(t *Tenant) bool {
 // snapshot. A snapshot carrying trained models publishes ready — the
 // crash-recovery path that serves the first post-restart request with zero
 // re-training. One persisted before its build completed publishes warming
-// on the shared fallback models and resubmits the build. A snapshot that
+// on the base pipeline's models and resubmits the build. A snapshot that
 // fails verification drops the tenant durably (WAL evict + file delete) so
 // a corrupt file turns into a clean 404 and a re-registration, not a
 // crash loop. Caller holds t.loadMu.
@@ -163,8 +162,7 @@ func (c *Catalog) loadStored(t *Tenant, stub *Snapshot) bool {
 		return false
 	}
 	state, built := StateWarming, time.Time{}
-	var clf *classifier.Model
-	var pred *predictor.Model
+	clf, pred := c.cfg.Base.Classifier(), c.cfg.Base.Predictor()
 	if ts.HasModels() {
 		clf, pred = &classifier.Model{}, &predictor.Model{}
 		if clf.UnmarshalBinary(ts.Classifier) != nil || pred.UnmarshalBinary(ts.Predictor) != nil {
@@ -172,8 +170,6 @@ func (c *Catalog) loadStored(t *Tenant, stub *Snapshot) bool {
 			return false
 		}
 		state, built = StateReady, ts.Built
-	} else {
-		clf, pred = c.cfg.Fallback.models(trace.Link{})
 	}
 	loaded := c.resident(&Snapshot{
 		Name:        ts.Name,

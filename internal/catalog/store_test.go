@@ -208,25 +208,17 @@ func TestRestartRecoversUnbuiltTenantAndRebuilds(t *testing.T) {
 	// The resubmitted build queues behind a blocker until the warming state
 	// has been checked.
 	jm2, release := wedgedBuilds(t)
-	var calls atomic.Int64
-	fb, _ := countingFallback(&calls)
-	c2 := newDurableCatalog(t, st2, func(cfg *Config) { cfg.Jobs, cfg.Fallback = jm2, fb })
+	c2 := newDurableCatalog(t, st2, func(cfg *Config) { cfg.Jobs = jm2 })
 	defer closeCatalog(t, c2)
-	if n := calls.Load(); n != 0 {
-		t.Fatalf("recovery trained the fallback (%d calls) before any load", n)
-	}
 	tn, ok := c2.Lookup("unbuilt")
 	if !ok {
 		t.Fatal("recovered tenant not resolvable")
 	}
 	// The registration-time snapshot carries no models: the tenant comes
-	// back warming (serving on the fallback, which this load trains) and
-	// its build is resubmitted.
+	// back warming (serving on the base pipeline's models) and its build is
+	// resubmitted.
 	if s := tn.Snapshot(); s.State != StateWarming {
 		t.Fatalf("state = %s, want warming (models were never persisted)", s.State)
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("loading a snapshot without models called the bootstrap function %d times, want 1", n)
 	}
 	release()
 	snap := waitReady(t, c2, "unbuilt")

@@ -175,6 +175,9 @@ func (p *Pipeline) pruneConfig() classifier.PruneConfig {
 // Name implements Translator.
 func (p *Pipeline) Name() string { return "PURPLE(" + p.client.Name() + ")" }
 
+// Config returns the configuration the pipeline runs with.
+func (p *Pipeline) Config() Config { return p.cfg }
+
 // Classifier exposes the trained pruning model (used by examples and
 // baselines sharing the substrate).
 func (p *Pipeline) Classifier() *classifier.Model { return p.clf }

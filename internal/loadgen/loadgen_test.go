@@ -19,28 +19,27 @@ import (
 	"repro/internal/trace"
 )
 
-// The serving substrate is expensive to train; build it once for the package.
+// The serving substrate is expensive to generate; build it once for the
+// package.
 var (
 	srvOnce   sync.Once
 	srvCorpus *spider.Corpus
-	srvFB     *catalog.Fallback
 )
 
 func testService(t *testing.T) (*httptest.Server, *metrics.Registry) {
 	t.Helper()
 	srvOnce.Do(func() {
 		srvCorpus = spider.GenerateSmall(13, 0.05)
-		srvFB = catalog.NewFallback(func() []*spider.Example { return srvCorpus.Train.Examples })
 	})
 	cfg := core.DefaultConfig()
 	cfg.Consistency = 3
 	client := llm.NewSim(llm.ChatGPT)
 	cache := llm.NewCache(client, 512)
-	cat, err := catalog.New(catalog.Config{Client: client, Fallback: srvFB, Pipeline: &cfg})
+	p := core.New(srvCorpus.Train.Examples, cache, cfg)
+	cat, err := catalog.New(catalog.Config{Client: client, Base: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.New(srvCorpus.Train.Examples, cache, cfg)
 	// Sample 0: the server records only requests arriving with a sampled
 	// traceparent, which is exactly what TestTraceSampling asserts. The
 	// recent ring is sized far past anything a sub-second run can produce,

@@ -208,15 +208,11 @@ func testServer(t *testing.T) *httptest.Server {
 	sim := llm.NewSim(llm.ChatGPT)
 	cache := llm.NewCache(sim, 512)
 	client := fault.Wrap(cache)
-	cat, err := catalog.New(catalog.Config{
-		Client:   fault.Wrap(sim),
-		Fallback: catalog.NewFallback(func() []*spider.Example { return corpus.Train.Examples }),
-		Pipeline: &cfg,
-	})
+	p := core.New(corpus.Train.Examples, client, cfg)
+	cat, err := catalog.New(catalog.Config{Client: fault.Wrap(sim), Base: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.New(corpus.Train.Examples, client, cfg)
 	s := service.New(p, corpus,
 		service.WithCatalog(cat),
 		service.WithJobs(jobs.Config{Runners: 1, Queue: 2}),

@@ -166,7 +166,7 @@ func (s *Server) decodeRegistration(w http.ResponseWriter, r *http.Request, path
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return catalog.Registration{}, false
 	}
-	return catalog.Registration{DB: db, Demos: req.Demos, Trace: trace.LinkFromContext(r.Context())}, true
+	return catalog.Registration{DB: db, Demos: req.Demos}, true
 }
 
 func (s *Server) handleDatabaseRegister(w http.ResponseWriter, r *http.Request) {

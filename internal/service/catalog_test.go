@@ -15,34 +15,30 @@ import (
 	"repro/internal/spider"
 )
 
-// Shared fallback models: trained once, read-only afterwards.
+// Shared corpus: generated once, read-only afterwards.
 var (
-	svcFBOnce sync.Once
-	svcFB     *catalog.Fallback
-	svcCorpus *spider.Corpus
+	svcCorpusOnce sync.Once
+	svcCorpus     *spider.Corpus
 )
 
-func tenantSubstrate() (*spider.Corpus, *catalog.Fallback) {
-	svcFBOnce.Do(func() {
-		svcCorpus = spider.GenerateSmall(13, 0.05)
-		svcFB = catalog.NewFallback(func() []*spider.Example { return svcCorpus.Train.Examples })
-	})
-	return svcCorpus, svcFB
+func tenantCorpus() *spider.Corpus {
+	svcCorpusOnce.Do(func() { svcCorpus = spider.GenerateSmall(13, 0.05) })
+	return svcCorpus
 }
 
 // catalogTestServer builds a server with the multi-tenant catalog enabled
 // (plus any extra options, e.g. jobs).
 func catalogTestServer(t *testing.T, opts ...Option) (*httptest.Server, *Server) {
 	t.Helper()
-	c, fb := tenantSubstrate()
+	c := tenantCorpus()
 	pcfg := core.DefaultConfig()
 	pcfg.Consistency = 5
 	client := llm.NewSim(llm.ChatGPT)
-	cat, err := catalog.New(catalog.Config{Client: client, Fallback: fb, Pipeline: &pcfg})
+	p := core.New(c.Train.Examples, client, pcfg)
+	cat, err := catalog.New(catalog.Config{Client: client, Base: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.New(c.Train.Examples, client, pcfg)
 	s := New(p, c, append([]Option{WithCatalog(cat)}, opts...)...)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

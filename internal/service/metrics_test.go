@@ -18,7 +18,7 @@ import (
 // instrumented LLM cache and jobs.
 func metricsServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	c, _ := tenantSubstrate()
+	c := tenantCorpus()
 	cfg := core.DefaultConfig()
 	cfg.Consistency = 3
 	base := llm.NewSim(llm.ChatGPT)

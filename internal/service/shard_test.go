@@ -20,21 +20,19 @@ import (
 // store instance in dir.
 func sharedShardServer(t *testing.T, dir, instance string) (*httptest.Server, *Server) {
 	t.Helper()
-	c, fb := tenantSubstrate()
+	c := tenantCorpus()
 	pcfg := core.DefaultConfig()
 	pcfg.Consistency = 5
 	st, err := store.Open(dir, store.Options{Instance: instance})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, err := catalog.New(catalog.Config{
-		Client: llm.NewSim(llm.ChatGPT), Fallback: fb, Pipeline: &pcfg, Store: st,
-	})
+	p := core.New(c.Train.Examples, llm.NewSim(llm.ChatGPT), pcfg)
+	cat, err := catalog.New(catalog.Config{Client: llm.NewSim(llm.ChatGPT), Base: p, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(core.New(c.Train.Examples, llm.NewSim(llm.ChatGPT), pcfg), c,
-		WithCatalog(cat), WithShardID(instance))
+	s := New(p, c, WithCatalog(cat), WithShardID(instance))
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		srv.Close()
