@@ -139,17 +139,53 @@ func BenchmarkPipelineTranslate(b *testing.B) {
 	}
 }
 
-// recordingClient forwards to its LLM client and keeps the last response's
-// completions.
+// recordingClient forwards to its LLM client and keeps the last request
+// and the last response's completions.
 type recordingClient struct {
 	llm.Client
-	last []string
+	lastReq llm.Request
+	last    []string
 }
 
 func (r *recordingClient) Complete(req llm.Request) llm.Response {
 	resp := r.Client.Complete(req)
-	r.last = resp.SQLs
+	r.lastReq, r.last = req, resp.SQLs
 	return resp
+}
+
+// record translates each task with p and returns the LLM request each
+// translation sent and the completions it got back.
+func record(tb testing.TB, p *Pipeline, tasks []*spider.Example) ([]llm.Request, [][]string) {
+	tb.Helper()
+	rec := &recordingClient{Client: p.client}
+	recorder := *p
+	recorder.client = rec
+	reqs := make([]llm.Request, len(tasks))
+	samples := make([][]string, len(tasks))
+	for i, e := range tasks {
+		recorder.Translate(e)
+		reqs[i], samples[i] = rec.lastReq, rec.last
+		if len(samples[i]) != p.cfg.Consistency {
+			tb.Fatalf("task %d: %d completions", e.ID, len(samples[i]))
+		}
+	}
+	return reqs, samples
+}
+
+// BenchmarkPipelineComplete is the LLM call: the pipeline's simulated LLM
+// answering the request a dev task's translation sends (its 3,072-token
+// prompt, 30 samples), recorded once from the same pipeline. Recording
+// warms the simulator's grade memo, as a shard's first questions do.
+func BenchmarkPipelineComplete(b *testing.B) {
+	p, tasks := paperPipeline()
+	reqs, _ := record(b, p, tasks)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(p.client.Complete(reqs[i%len(reqs)]).SQLs) != p.cfg.Consistency {
+			b.Fatal("short response")
+		}
+	}
 }
 
 // BenchmarkPipelineAdapt is database adaption and the execution-consistency
@@ -157,16 +193,7 @@ func (r *recordingClient) Complete(req llm.Request) llm.Response {
 // translation by the same pipeline.
 func BenchmarkPipelineAdapt(b *testing.B) {
 	p, tasks := paperPipeline()
-	rec := &recordingClient{Client: p.client}
-	recorder := *p
-	recorder.client = rec
-	samples := make([][]string, len(tasks))
-	for i, e := range tasks {
-		recorder.Translate(e)
-		if samples[i] = rec.last; len(samples[i]) != p.cfg.Consistency {
-			b.Fatalf("task %d: %d completions", e.ID, len(samples[i]))
-		}
-	}
+	_, samples := record(b, p, tasks)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,13 +8,13 @@ package core
 import (
 	"context"
 	"iter"
-	"math/rand"
 	"slices"
 	"time"
 
 	"repro/internal/adaption"
 	"repro/internal/automaton"
 	"repro/internal/classifier"
+	"repro/internal/lazyrand"
 	"repro/internal/llm"
 	"repro/internal/predictor"
 	"repro/internal/prompt"
@@ -202,7 +202,7 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 	// the ablation's permutation. Nothing draws from it after selection, so
 	// a fill permutation that prompt.Build never pulls far enough to draw
 	// leaves every later output unchanged.
-	rng := rand.New(rand.NewSource(p.cfg.Seed*1_000_003 + int64(e.ID)))
+	rng := lazyrand.New(p.cfg.Seed*1_000_003 + int64(e.ID))
 
 	// Step 1: schema pruning.
 	taskDB := e.DB

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,4 +213,34 @@ func TestRenderDemoPrunesSchema(t *testing.T) {
 		return
 	}
 	t.Fatal("no training example leaves a table of its schema unused")
+}
+
+// TestSimConcurrentCompletionsMatchSequential replays the requests 64
+// translations send on one cold simulated LLM from 8 goroutines at once,
+// each starting at a different request: the grade memo they share must
+// not change a response.
+func TestSimConcurrentCompletionsMatchSequential(t *testing.T) {
+	c := spider.GenerateSmall(1, 0.1)
+	p := New(c.Train.Examples, llm.NewSim(llm.ChatGPT), DefaultConfig())
+	reqs, _ := record(t, p, c.Dev.Examples[:64])
+	want := make([]llm.Response, len(reqs))
+	sequential := llm.NewSim(llm.ChatGPT)
+	for i, r := range reqs {
+		want[i] = sequential.Complete(r)
+	}
+	shared := llm.NewSim(llm.ChatGPT)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range reqs {
+				i := (k + 8*g) % len(reqs)
+				if got := shared.Complete(reqs[i]); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d, task %d: concurrent response %+v, sequential %+v", g, reqs[i].Task.ID, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

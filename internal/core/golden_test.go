@@ -19,11 +19,13 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 
 // TestGoldenTranslations pins every answer the pipeline gives on a small
 // corpus: per configuration, the SHA-256 of each dev task's SQL, input
-// tokens, output tokens and demonstrations used, in task order. The
-// default configuration is the tier-1 copy of the repository benchmark's
-// reference check (bench/reference.go), which runs the same pipeline at
-// scale 1.0; the other two pin the selection ablation and the Figure 12
-// noise knobs. Any change to pruning, prediction, selection, prompt
+// tokens, output tokens and demonstrations used, in task order, and the
+// SHA-256 of the LLM response behind each answer, all its sampled
+// completions in order with both token counts, so a change to a sample
+// the vote discards shows up too. The default configuration is the tier-1
+// copy of the repository benchmark's reference check (bench/reference.go),
+// which runs the same pipeline at scale 1.0; the other two pin the
+// selection ablation and the Figure 12 noise knobs. Any change to pruning, prediction, selection, prompt
 // assembly, the simulated LLM or adaption that alters one answer shows up
 // here. Regenerate deliberately with:
 //
@@ -41,13 +43,16 @@ func TestGoldenTranslations(t *testing.T) {
 		name string
 		cfg  Config
 	}{{"default", DefaultConfig()}, {"no-selection", noSelection}, {"noisy", noisy}} {
-		p := New(corpus.Train.Examples, llm.NewSim(llm.ChatGPT), c.cfg)
-		h := sha256.New()
+		rec := &recordingClient{Client: llm.NewSim(llm.ChatGPT)}
+		p := New(corpus.Train.Examples, rec, c.cfg)
+		h, samples := sha256.New(), sha256.New()
 		for _, e := range corpus.Dev.Examples {
 			tr := p.Translate(e)
 			fmt.Fprintf(h, "%d\t%q\t%d\t%d\t%d\n", e.ID, tr.SQL, tr.InputTokens, tr.OutputTokens, tr.DemosUsed)
+			fmt.Fprintf(samples, "%d\t%q\t%d\t%d\n", e.ID, rec.last, tr.InputTokens, tr.OutputTokens)
 		}
 		fmt.Fprintf(&sb, "%s tasks=%d sha256=%s\n", c.name, len(corpus.Dev.Examples), hex.EncodeToString(h.Sum(nil)))
+		fmt.Fprintf(&sb, "%s completions requests=%d sha256=%s\n", c.name, len(corpus.Dev.Examples), hex.EncodeToString(samples.Sum(nil)))
 	}
 	got := sb.String()
 

@@ -1,9 +1,12 @@
 package llm
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/prompt"
 	"repro/internal/spider"
@@ -186,7 +189,7 @@ func TestNaiveRewriteShapes(t *testing.T) {
 	c := corpus()
 	// The exclusion-join naive rewrite must produce the Figure 1 NOT IN form.
 	e := taskOfClass(t, c, spider.ClassExclusionJoin)
-	out := naiveRewrite(sqlir.Clone(e.Gold), e.Class, nil)
+	out := naiveRewrite(sqlir.Clone(e.Gold), e.Class)
 	if out.Compound != nil {
 		t.Error("naive exclusion rewrite kept EXCEPT")
 	}
@@ -202,7 +205,7 @@ func TestNaiveRewriteShapes(t *testing.T) {
 func TestSuperlativeRewrite(t *testing.T) {
 	c := corpus()
 	e := taskOfClass(t, c, spider.ClassSuperlative)
-	out := naiveRewrite(sqlir.Clone(e.Gold), e.Class, nil)
+	out := naiveRewrite(sqlir.Clone(e.Gold), e.Class)
 	if !out.HasLimit || out.Limit != 1 || len(out.OrderBy) != 1 {
 		t.Errorf("superlative naive form should be ORDER BY ... LIMIT 1: %s", sqlir.String(out))
 	}
@@ -214,7 +217,7 @@ func TestSuperlativeRewrite(t *testing.T) {
 func TestStyleRewriteEquivalentOnData(t *testing.T) {
 	c := corpus()
 	e := taskOfClass(t, c, spider.ClassInSub)
-	out := styleRewrite(sqlir.Clone(e.Gold), e.Class, Request{Task: e}, nil)
+	out := styleRewrite(sqlir.Clone(e.Gold), e.Class, Request{Task: e})
 	if sqlir.String(out) == e.GoldSQL {
 		t.Skip("rewrite not applicable to this instance")
 	}
@@ -255,5 +258,45 @@ func TestSurfaceDriftPreservesExecution(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("surface drift never applied on the whole dev split")
+	}
+}
+
+// TestGradeMemoClearsWhenFull fills a Sim's grade memo past its size: it
+// must hold at most gradeMemoSize entries, none of them pointing into a
+// prompt, and grading after the clear must be unchanged.
+func TestGradeMemoClearsWhenFull(t *testing.T) {
+	c := corpus()
+	e := c.Dev.Examples[0]
+	demos := []string{e.GoldSQL, "SELEC broken FROM", c.Dev.Examples[1].GoldSQL, c.Dev.Examples[2].GoldSQL}
+	req := Request{Prompt: buildPrompt(e, demos...), N: 5, Task: e, Seed: 3}
+	sim := NewSim(ChatGPT)
+	wantResp, wantGuide := sim.Complete(req), sim.promptGuidance(req)
+	if len(sim.grades) != len(demos) {
+		t.Fatalf("memo holds %d grades after a prompt of %d distinct demonstrations", len(sim.grades), len(demos))
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(req.Prompt)))
+	for k := range sim.grades {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(k))); p >= lo && p < lo+uintptr(len(req.Prompt)) {
+			t.Errorf("memo key %q points into the prompt", k)
+		}
+	}
+
+	for i := range gradeMemoSize {
+		sim.demoGrade(fmt.Sprintf("SELECT c%d FROM t", i))
+		if len(sim.grades) > gradeMemoSize {
+			t.Fatalf("memo holds %d grades, over its size %d", len(sim.grades), gradeMemoSize)
+		}
+	}
+	if _, ok := sim.grades[e.GoldSQL]; ok {
+		t.Fatal("memo was not cleared when full")
+	}
+	if got := sim.promptGuidance(req); got != wantGuide {
+		t.Errorf("guidance after the clear %+v, before %+v", got, wantGuide)
+	}
+	if got := sim.Complete(req); !reflect.DeepEqual(got, wantResp) {
+		t.Errorf("response after the clear %+v, before %+v", got, wantResp)
+	}
+	if got := NewSim(ChatGPT).Complete(req); !reflect.DeepEqual(got, wantResp) {
+		t.Errorf("fresh Sim's response %+v, warm Sim's %+v", got, wantResp)
 	}
 }

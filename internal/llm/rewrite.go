@@ -36,7 +36,7 @@ func isStyleClass(c spider.CompositionClass) bool {
 // mirrors a documented LLM failure: NOT-IN instead of EXCEPT+join (Figure 1),
 // ORDER-LIMIT for superlatives (tie semantics differ), dropped HAVING,
 // AND/OR-merged set operations, dropped DISTINCT.
-func naiveRewrite(sel *sqlir.Select, class spider.CompositionClass, rng *rand.Rand) *sqlir.Select {
+func naiveRewrite(sel *sqlir.Select, class spider.CompositionClass) *sqlir.Select {
 	switch class {
 	case spider.ClassExclusionJoin:
 		return exclusionJoinToNotIn(sel)
@@ -131,7 +131,7 @@ func mergeCompound(sel *sqlir.Select, op string) *sqlir.Select {
 }
 
 // styleRewrite switches to an equivalent surface form.
-func styleRewrite(sel *sqlir.Select, class spider.CompositionClass, req Request, rng *rand.Rand) *sqlir.Select {
+func styleRewrite(sel *sqlir.Select, class spider.CompositionClass, req Request) *sqlir.Select {
 	db := req.Task.DB
 	switch class {
 	case spider.ClassInSub:

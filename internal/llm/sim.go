@@ -1,23 +1,34 @@
 package llm
 
 import (
-	"math/rand"
 	"strings"
+	"sync"
 
 	"repro/internal/automaton"
+	"repro/internal/lazyrand"
 	"repro/internal/prompt"
 	"repro/internal/sqlir"
 )
 
-// Sim is the simulated LLM. Construct with NewSim.
+// Sim is the simulated LLM. Construct with NewSim. It is safe for
+// concurrent use.
 type Sim struct {
 	tier Tier
 	prof profile
+
+	mu     sync.Mutex
+	grades map[string]grade // demonstration SQL → its grade; see demoGrade
 }
+
+// gradeMemoSize bounds a Sim's grade memo: when full it is cleared. The
+// paper-scale training split has 6,811 distinct gold SQL strings, so a
+// shard's pipeline never clears it, and tenants' demonstrations cannot
+// grow it without bound.
+const gradeMemoSize = 16384
 
 // NewSim returns a simulated LLM of the given tier.
 func NewSim(tier Tier) *Sim {
-	return &Sim{tier: tier, prof: profiles[tier]}
+	return &Sim{tier: tier, prof: profiles[tier], grades: map[string]grade{}}
 }
 
 // Name implements Client.
@@ -44,8 +55,15 @@ const (
 // execution-consistency voting recovers the modest, Figure 11-sized gains
 // (it filters hallucinated and temperature-flipped samples) but cannot fix a
 // persistent misunderstanding, matching the paper's observations.
+//
+// Every generator is math/rand's, seeded lazily (lazyrand), and a sample's
+// tree before hallucination depends only on the request and on the
+// sample's composeOK and driftOK: the rewrites draw from their own
+// linkSeed generators, never from the sample's. So a request's samples
+// share at most four trees, each built and printed once, and a sample
+// clones its tree only to hallucinate on it.
 func (s *Sim) Complete(req Request) Response {
-	rng := rand.New(rand.NewSource(req.Seed ^ int64(s.tier)<<32 ^ 0x5eed))
+	rng := lazyrand.New(req.Seed ^ int64(s.tier)<<32 ^ 0x5eed)
 	resp := Response{InputTokens: prompt.Tokens(req.Prompt)}
 	g := s.promptGuidance(req)
 	nTables, nCols := prompt.TaskSchemaSize(req.Prompt)
@@ -83,8 +101,10 @@ func (s *Sim) Complete(req Request) Response {
 		n = 1
 	}
 	const temperature = 0.10
+	var bases [4]*base // by baseIndex
+	resp.SQLs = make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		srng := rand.New(rand.NewSource(rng.Int63()))
+		srng := lazyrand.New(rng.Int63())
 		di := d
 		if srng.Float64() < temperature {
 			di.composeOK = !di.composeOK
@@ -92,7 +112,21 @@ func (s *Sim) Complete(req Request) Response {
 		if srng.Float64() < temperature {
 			di.driftOK = !di.driftOK
 		}
-		sql := s.sampleSQL(req, di, halluRate, srng)
+		sql := "SELECT 1 FROM nothing"
+		if req.Task != nil {
+			b := &bases[baseIndex(di)]
+			if *b == nil {
+				*b = newBase(req, di)
+			}
+			// Hallucination: dialect/schema-invalid output (usually
+			// detectable by execution and fixable by the adaption module);
+			// independent per sample.
+			if srng.Float64() < halluRate {
+				sql = hallucinate(sqlir.Clone((*b).sel), req, srng)
+			} else {
+				sql = (*b).sql
+			}
+		}
 		resp.SQLs = append(resp.SQLs, sql)
 		resp.OutputTokens += prompt.Tokens(sql)
 	}
@@ -127,23 +161,17 @@ func (s *Sim) promptGuidance(req Request) guidanceInfo {
 	if req.Task == nil {
 		return guidanceInfo{}
 	}
-	goldToks := sqlir.Skeleton(req.Task.Gold)
-	goldKeywords := strings.Join(automaton.Abstract(goldToks, automaton.Keywords), " ")
-	goldStructure := strings.Join(automaton.Abstract(goldToks, automaton.Structure), " ")
-	goldClause := strings.Join(automaton.Abstract(goldToks, automaton.Clause), " ")
-	counts := map[guidance]int{}
+	gold := gradeOf(sqlir.Skeleton(req.Task.Gold))
+	var counts [guideExact + 1]int
 	for _, demoSQL := range prompt.ParseDemoSQLs(req.Prompt) {
-		sel, err := sqlir.Parse(demoSQL)
-		if err != nil {
-			continue
-		}
-		toks := sqlir.Skeleton(sel)
+		g := s.demoGrade(demoSQL)
 		switch {
-		case strings.Join(automaton.Abstract(toks, automaton.Keywords), " ") == goldKeywords:
+		case !g.ok:
+		case g.keywords == gold.keywords:
 			counts[guideExact]++
-		case strings.Join(automaton.Abstract(toks, automaton.Structure), " ") == goldStructure:
+		case g.structure == gold.structure:
 			counts[guideStructure]++
-		case strings.Join(automaton.Abstract(toks, automaton.Clause), " ") == goldClause:
+		case g.clause == gold.clause:
 			counts[guideClause]++
 		}
 	}
@@ -153,6 +181,46 @@ func (s *Sim) promptGuidance(req Request) guidanceInfo {
 		}
 	}
 	return guidanceInfo{}
+}
+
+// grade is a skeleton abstracted to the three levels promptGuidance
+// compares, each joined into one string. The zero grade is that of SQL
+// that does not parse.
+type grade struct {
+	keywords, structure, clause string
+	ok                          bool
+}
+
+func gradeOf(skeleton []string) grade {
+	return grade{
+		keywords:  strings.Join(automaton.Abstract(skeleton, automaton.Keywords), " "),
+		structure: strings.Join(automaton.Abstract(skeleton, automaton.Structure), " "),
+		clause:    strings.Join(automaton.Abstract(skeleton, automaton.Clause), " "),
+		ok:        true,
+	}
+}
+
+// demoGrade grades a demonstration's SQL, parsing each distinct text once:
+// prompts repeat their demonstrations (the 1,034 dev prompts make 59,217
+// gradings of 1,567 distinct SQL strings).
+func (s *Sim) demoGrade(sql string) grade {
+	s.mu.Lock()
+	g, ok := s.grades[sql]
+	s.mu.Unlock()
+	if ok {
+		return g
+	}
+	if sel, err := sqlir.Parse(sql); err == nil {
+		g = gradeOf(sqlir.Skeleton(sel))
+	}
+	s.mu.Lock()
+	if len(s.grades) >= gradeMemoSize {
+		clear(s.grades)
+	}
+	// sql is a substring of the prompt: the key must not keep it alive.
+	s.grades[strings.Clone(sql)] = g
+	s.mu.Unlock()
+	return g
 }
 
 // repetitionFactor discounts guidance taught by few exemplars: 1 match
@@ -220,38 +288,46 @@ func (s *Sim) styleProb(g guidance) float64 {
 	}
 }
 
-// sampleSQL produces one completion from the persistent decisions plus
-// per-sample hallucination draws.
-func (s *Sim) sampleSQL(req Request, d decisions, halluRate float64, srng *rand.Rand) string {
-	if req.Task == nil {
-		return "SELECT 1 FROM nothing"
+// base is a sample's tree before hallucination and its text.
+type base struct {
+	sel *sqlir.Select
+	sql string
+}
+
+// baseIndex is the slot of a sample's base among its request's four.
+func baseIndex(d decisions) int {
+	i := 0
+	if d.composeOK {
+		i |= 1
 	}
+	if d.driftOK {
+		i |= 2
+	}
+	return i
+}
+
+// newBase applies a sample's persistent decisions to the gold query.
+func newBase(req Request, d decisions) *base {
 	sel := sqlir.Clone(req.Task.Gold)
 
 	// 1. Composition: naive rewrite when the prompt fails to teach it.
 	if needsGuidance(req.Task.Class) && !d.composeOK {
-		sel = naiveRewrite(sel, req.Task.Class, rand.New(rand.NewSource(d.linkSeed+1)))
+		sel = naiveRewrite(sel, req.Task.Class)
 	} else if isStyleClass(req.Task.Class) && !d.styleOK {
-		sel = styleRewrite(sel, req.Task.Class, req, rand.New(rand.NewSource(d.linkSeed+2)))
+		sel = styleRewrite(sel, req.Task.Class, req)
 	}
 	// 1b. Generic surface drift: equivalent-but-different formulations
 	// (COUNT(*) vs COUNT(pk), integer comparison boundary shifts). These
 	// cost EM but not EX — the zero-shot low-EM/high-EX signature of
 	// Table 1 — and demonstrations anchor the surface form.
 	if !d.driftOK {
-		sel = surfaceDrift(sel, req, rand.New(rand.NewSource(d.linkSeed+3)))
+		sel = surfaceDrift(sel, req, lazyrand.New(d.linkSeed+3))
 	}
 
 	// 2. Intent / schema-linking error: semantically wrong but executable,
 	// and identical across samples (the model persistently misreads).
 	if d.linkBad {
-		sel = corruptIntent(sel, req, rand.New(rand.NewSource(d.linkSeed+4)))
+		sel = corruptIntent(sel, req, lazyrand.New(d.linkSeed+4))
 	}
-
-	// 3. Hallucination: dialect/schema-invalid output (usually detectable by
-	// execution and fixable by the adaption module); independent per sample.
-	if srng.Float64() < halluRate {
-		return hallucinate(sel, req, srng)
-	}
-	return sqlir.String(sel)
+	return &base{sel: sel, sql: sqlir.String(sel)}
 }

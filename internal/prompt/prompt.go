@@ -131,13 +131,11 @@ func writeSchema(sb *strings.Builder, db *schema.Database) {
 // what the prompt contains.
 func ParseDemoSQLs(text string) []string {
 	var out []string
-	inTask := false
-	for _, line := range strings.Split(text, "\n") {
+	for line := range strings.SplitSeq(text, "\n") {
 		if strings.HasPrefix(line, TaskHeader) {
-			inTask = true
-			continue
+			break
 		}
-		if !inTask && strings.HasPrefix(line, SQLPrefix+" ") {
+		if strings.HasPrefix(line, SQLPrefix+" ") {
 			out = append(out, strings.TrimSpace(strings.TrimPrefix(line, SQLPrefix)))
 		}
 	}
@@ -151,7 +149,7 @@ func TaskSchemaSize(text string) (tables, columns int) {
 	if idx < 0 {
 		return 0, 0
 	}
-	for _, line := range strings.Split(text[idx:], "\n") {
+	for line := range strings.SplitSeq(text[idx:], "\n") {
 		line = strings.TrimSpace(line)
 		if strings.HasPrefix(line, QueryPrefix) {
 			break
