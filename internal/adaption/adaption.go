@@ -334,17 +334,45 @@ func minInt(a, b, c int) int {
 	return a
 }
 
-// Vote applies execution-consistency (Section IV-D2): each candidate is
-// adapted (when fix is true) and executed, and the first candidate, in
-// sample order, whose result signature has the most votes is returned; a
-// tie goes to the lexicographically smallest signature. ok is false when no
-// candidate executes.
+// Outcome is what an execution-consistency vote decided.
+type Outcome struct {
+	SQL   string // the first sample with the winning signature, as adapted
+	Votes int    // the winner's votes among the candidates run
+	Run   int    // distinct candidates adapted and executed
+}
+
+// Vote applies execution-consistency (Section IV-D2): it returns the first
+// candidate, in sample order, whose result signature, after adaption when
+// fix is true, has the most votes; a tie goes to the lexicographically
+// smallest signature. ok is false when no candidate executes.
 //
 // Adaption and execution are pure functions of (db, sql), and
 // self-consistency sampling repeats itself (30 samples hold about four
-// distinct strings), so each distinct candidate is adapted and executed
-// once and its signature counted once per time it was sampled.
-func Vote(db *schema.Database, candidates []string, fix bool) (string, bool) {
+// distinct strings), so each distinct candidate is counted once per time
+// it was sampled but adapted and executed at most once. Distinct
+// candidates run in first-sample order until the vote is decided: the
+// leading signature has more votes than the samples not yet run plus the
+// votes of any other signature. The rule is exact. No signature, seen or
+// new, can then reach the leader, so the tie rule cannot apply; and every
+// candidate not run was first sampled later, so the leader's SQL is
+// already the first sample with its signature.
+func Vote(db *schema.Database, candidates []string, fix bool) (Outcome, bool) {
+	type distinct struct {
+		sql     string
+		samples int
+	}
+	var order []distinct // in first-sample order
+	index := map[string]int{}
+	for _, c := range candidates {
+		i, seen := index[c]
+		if !seen {
+			i = len(order)
+			index[c] = i
+			order = append(order, distinct{sql: c})
+		}
+		order[i].samples++
+	}
+
 	f := &Fixer{DB: db}
 	type tally struct {
 		sql   string // the first candidate with this signature, as adapted
@@ -352,42 +380,48 @@ func Vote(db *schema.Database, candidates []string, fix bool) (string, bool) {
 		votes int
 	}
 	bySig := map[string]*tally{}
-	byCandidate := map[string]*tally{} // nil: the candidate does not execute
-	for _, c := range candidates {
-		t, seen := byCandidate[c]
-		if !seen {
-			var res *sqlexec.Result
-			sql := c
-			if fix {
-				sql, res = f.Adapt(c)
-			} else {
-				res, _ = sqlexec.ExecSQL(db, c)
+	var lead *tally         // most votes, then smallest signature
+	runnerUp := 0           // the most votes another signature holds
+	left := len(candidates) // samples of the candidates not yet run
+	run := 0
+	for _, d := range order {
+		if lead != nil && lead.votes > runnerUp+left {
+			break
+		}
+		run++
+		left -= d.samples
+		var res *sqlexec.Result
+		sql := d.sql
+		if fix {
+			sql, res = f.Adapt(d.sql)
+		} else {
+			res, _ = sqlexec.ExecSQL(db, d.sql)
+		}
+		if res == nil {
+			continue
+		}
+		sig := Signature(res)
+		t := bySig[sig]
+		if t == nil {
+			t = &tally{sql: sql, sig: sig}
+			bySig[sig] = t
+		}
+		t.votes += d.samples
+		switch {
+		case t == lead:
+		case lead == nil || t.votes > lead.votes || t.votes == lead.votes && t.sig < lead.sig:
+			if lead != nil {
+				runnerUp = lead.votes
 			}
-			if res != nil {
-				sig := Signature(res)
-				if t = bySig[sig]; t == nil {
-					t = &tally{sql: sql, sig: sig}
-					bySig[sig] = t
-				}
-			}
-			byCandidate[c] = t
-		}
-		if t != nil {
-			t.votes++
+			lead = t
+		default:
+			runnerUp = max(runnerUp, t.votes)
 		}
 	}
-	// Most votes, then smallest signature: a total order, so the map's
-	// iteration order cannot change the winner.
-	var best *tally
-	for _, t := range bySig {
-		if best == nil || t.votes > best.votes || t.votes == best.votes && t.sig < best.sig {
-			best = t
-		}
+	if lead == nil {
+		return Outcome{Run: run}, false
 	}
-	if best == nil {
-		return "", false
-	}
-	return best.sql, true
+	return Outcome{SQL: lead.sql, Votes: lead.votes, Run: run}, true
 }
 
 // Signature canonically encodes an execution result for consensus voting:

@@ -163,8 +163,8 @@ func TestVotePicksMajority(t *testing.T) {
 		"SELECT country FROM tv_channel",
 	}
 	got, ok := Vote(db, cands, true)
-	if !ok || got != "SELECT country FROM tv_channel" {
-		t.Errorf("Vote = %q, ok=%v", got, ok)
+	if !ok || got.SQL != "SELECT country FROM tv_channel" {
+		t.Errorf("Vote = %q, ok=%v", got.SQL, ok)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestVoteFixesBeforeVoting(t *testing.T) {
 	if !ok {
 		t.Fatal("vote failed")
 	}
-	if _, err := sqlexec.ExecSQL(db, got); err != nil {
+	if _, err := sqlexec.ExecSQL(db, got.SQL); err != nil {
 		t.Errorf("voted SQL does not execute: %v", err)
 	}
 }
@@ -190,8 +190,8 @@ func TestVoteNoFixSkipsBroken(t *testing.T) {
 		"SELECT series_name FROM tv_channel",
 	}
 	got, ok := Vote(db, cands, false)
-	if !ok || got != "SELECT series_name FROM tv_channel" {
-		t.Errorf("Vote(no-fix) = %q ok=%v", got, ok)
+	if !ok || got.SQL != "SELECT series_name FROM tv_channel" {
+		t.Errorf("Vote(no-fix) = %q ok=%v", got.SQL, ok)
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 
 // BenchmarkConsistencyVote measures the Section IV-D2 execution-consistency
 // vote on a small candidate set shaped like self-consistency sampling:
-// duplicates dominate, so the vote adapts and executes two distinct
-// candidates (one of them repairable) and counts the duplicates. The
-// paper-scale vote over recorded samples is internal/core's gated
-// BenchmarkPipelineAdapt.
+// duplicates dominate, so the first distinct candidate holds four of the
+// five samples and decides the vote alone; its repairable candidate never
+// runs. The paper-scale vote over recorded samples is internal/core's
+// gated BenchmarkPipelineAdapt.
 
 func voteFixture(b *testing.B) (*spider.Corpus, []string) {
 	b.Helper()

@@ -79,8 +79,8 @@ func (s *C3) Translate(e *spider.Example) core.Translation {
 		Seed:       s.Seed*13_000_003 + int64(e.ID),
 	})
 	out := core.Translation{InputTokens: resp.InputTokens, OutputTokens: resp.OutputTokens}
-	if sql, ok := adaption.Vote(e.DB, resp.SQLs, false); ok {
-		out.SQL = sql
+	if v, ok := adaption.Vote(e.DB, resp.SQLs, false); ok {
+		out.SQL = v.SQL
 	} else if len(resp.SQLs) > 0 {
 		out.SQL = resp.SQLs[0]
 	}

@@ -190,7 +190,8 @@ func BenchmarkPipelineComplete(b *testing.B) {
 
 // BenchmarkPipelineAdapt is database adaption and the execution-consistency
 // vote over a dev task's 30 sampled completions, recorded once from a
-// translation by the same pipeline.
+// translation by the same pipeline. The vote stops once it is decided, so
+// it adapts and executes about one of a task's four distinct candidates.
 func BenchmarkPipelineAdapt(b *testing.B) {
 	p, tasks := paperPipeline()
 	_, samples := record(b, p, tasks)
@@ -198,7 +199,7 @@ func BenchmarkPipelineAdapt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(tasks)
-		if sql, ok := adaption.Vote(tasks[k].DB, samples[k], true); ok && sql == "" {
+		if v, ok := adaption.Vote(tasks[k].DB, samples[k], true); ok && v.SQL == "" {
 			b.Fatal("empty winning candidate")
 		}
 	}

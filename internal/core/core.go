@@ -289,11 +289,15 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 	defer tsp.Finish()
 	if p.cfg.UseAdaption {
 		_, asp := trace.StartSpan(ctx, "pipeline.adapt")
-		sql, ok := adaption.Vote(e.DB, resp.SQLs, true)
-		asp.SetAttrs(trace.Bool("vote_ok", ok))
+		v, ok := adaption.Vote(e.DB, resp.SQLs, true)
+		asp.SetAttrs(
+			trace.Bool("vote_ok", ok),
+			trace.Int("votes", int64(v.Votes)),
+			trace.Int("candidates_run", int64(v.Run)),
+		)
 		asp.Finish()
 		if ok {
-			out.SQL = sql
+			out.SQL = v.SQL
 			return out
 		}
 	}
