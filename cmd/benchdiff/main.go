@@ -2,11 +2,13 @@
 // output of a fresh `go test -bench -benchmem` run against a committed
 // baseline in the same format (BENCH_*.txt) and fails (exit 1) when any
 // baseline benchmark regressed more than the threshold in ns/op, or did not
-// run at all.
+// run at all. Either file may repeat a benchmark (`go test -count N`); the
+// gate then reads each benchmark's median ns/op and median allocs/op, so one
+// slow run among several does not fail it.
 //
 // Usage:
 //
-//	go test -run '^$' -bench '^(BenchmarkA|BenchmarkB)$' -benchmem ./pkg > fresh/BENCH_x.txt
+//	go test -run '^$' -bench '^(BenchmarkA|BenchmarkB)$' -benchmem -count 3 ./pkg > fresh/BENCH_x.txt
 //	benchdiff -baseline BENCH_x.txt -current fresh/BENCH_x.txt
 //	benchdiff -baseline ... -current ... -threshold 0.30 -allow BenchmarkExecGroupBy,BenchmarkPreparedReexec
 //	benchdiff -baseline ... -current ... -min-ns 500 -max-allocs-growth 0.10
@@ -27,7 +29,9 @@
 //     Benchmarks only in the current run are reported as "new" and pass.
 //
 // Names are compared without the -N GOMAXPROCS suffix go test appends, so a
-// baseline taken on one machine gates a run on another.
+// baseline taken on one machine gates a run on another. A file that repeats
+// a benchmark under two different suffixes (`-cpu 2,4`) is rejected: those
+// are different measurements, not repeats.
 package main
 
 import (
@@ -38,6 +42,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -111,11 +116,12 @@ func fmtPct(p float64) string {
 	return fmt.Sprintf("%+.1f%%", p*100)
 }
 
-// Result is the part of one benchmark's measurements the gate reads.
+// Result is the part of one benchmark's measurements the gate reads: one
+// run's, or the medians of repeated runs'.
 type Result struct {
 	Name        string // without the -N GOMAXPROCS suffix
 	NsPerOp     float64
-	AllocsPerOp int64
+	AllocsPerOp float64
 }
 
 func readFile(path string) ([]Result, error) {
@@ -131,13 +137,47 @@ func readFile(path string) ([]Result, error) {
 	return rs, nil
 }
 
+// medians folds repeated runs of a benchmark into one Result with the
+// median ns/op and the median allocs/op (the mean of the middle two for an
+// even count), in first-appearance order.
+func medians(rs []Result) []Result {
+	runs := map[string][]Result{}
+	var order []string
+	for _, r := range rs {
+		if runs[r.Name] == nil {
+			order = append(order, r.Name)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	out := make([]Result, len(order))
+	for i, name := range order {
+		var ns, allocs []float64
+		for _, r := range runs[name] {
+			ns = append(ns, r.NsPerOp)
+			allocs = append(allocs, r.AllocsPerOp)
+		}
+		out[i] = Result{Name: name, NsPerOp: median(ns), AllocsPerOp: median(allocs)}
+	}
+	return out
+}
+
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
 // parse reads Go's benchmark text format, as `go test -bench -benchmem`
 // writes it: one line per result,
 //
 //	BenchmarkExecScanFilter-2   58860   20940 ns/op   37912 B/op   39 allocs/op
 //
 // Lines that do not start with "Benchmark" — configuration lines such as
-// "goos: linux", PASS, ok — are skipped. A line that does start with it must
+// "goos: linux", PASS, ok — are skipped. A benchmark may repeat, but only
+// under one full name; its runs fold into one Result (medians). A line that does start with it must
 // parse: log output interleaved with a result is the realistic cause, and a
 // result read wrong would gate the wrong numbers. Each result needs a
 // finite positive ns/op and a non-negative allocs/op (without -benchmem
@@ -145,7 +185,7 @@ func readFile(path string) ([]Result, error) {
 // among them, are accepted and ignored.
 func parse(r io.Reader) ([]Result, error) {
 	var out []Result
-	seen := map[string]bool{}
+	fullName := map[string]string{} // name → the name with its suffix as first seen
 	sc := bufio.NewScanner(r)
 	for line := 1; sc.Scan(); line++ {
 		if !strings.HasPrefix(sc.Text(), "Benchmark") {
@@ -155,10 +195,11 @@ func parse(r io.Reader) ([]Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %v", line, err)
 		}
-		if seen[res.Name] {
-			return nil, fmt.Errorf("line %d: duplicate benchmark %s", line, res.Name)
+		full := strings.Fields(sc.Text())[0]
+		if first, ok := fullName[res.Name]; ok && first != full {
+			return nil, fmt.Errorf("line %d: duplicate benchmark %s as %s and %s", line, res.Name, first, full)
 		}
-		seen[res.Name] = true
+		fullName[res.Name] = full
 		out = append(out, res)
 	}
 	if err := sc.Err(); err != nil {
@@ -167,7 +208,7 @@ func parse(r io.Reader) ([]Result, error) {
 	if len(out) == 0 {
 		return nil, errors.New("no benchmark results")
 	}
-	return out, nil
+	return medians(out), nil
 }
 
 func parseResult(line string) (Result, error) {
@@ -192,7 +233,7 @@ func parseResult(line string) (Result, error) {
 			if !(v >= 0) || math.IsInf(v, 1) {
 				return Result{}, fmt.Errorf("%s: allocs/op %s is not a count", r.Name, f[i])
 			}
-			r.AllocsPerOp, hasAllocs = int64(v), true
+			r.AllocsPerOp, hasAllocs = v, true
 		}
 	}
 	if !(r.NsPerOp > 0) || math.IsInf(r.NsPerOp, 1) {
@@ -282,11 +323,10 @@ func Compare(base, cur []Result, g Gate) []Delta {
 		if !d.Failed && !g.Allow[b.Name] && g.MaxAllocsGrowth > 0 {
 			switch {
 			case b.AllocsPerOp == 0 && c.AllocsPerOp > 0:
-				d.Verdict = fmt.Sprintf("ALLOCS REGRESSION (0 -> %d allocs/op)", c.AllocsPerOp)
+				d.Verdict = fmt.Sprintf("ALLOCS REGRESSION (0 -> %g allocs/op)", c.AllocsPerOp)
 				d.Failed = true
-			case b.AllocsPerOp > 0 && float64(c.AllocsPerOp)/float64(b.AllocsPerOp)-1 > g.MaxAllocsGrowth:
-				d.Verdict = fmt.Sprintf("ALLOCS REGRESSION (%+.1f%% allocs/op)",
-					(float64(c.AllocsPerOp)/float64(b.AllocsPerOp)-1)*100)
+			case b.AllocsPerOp > 0 && c.AllocsPerOp/b.AllocsPerOp-1 > g.MaxAllocsGrowth:
+				d.Verdict = fmt.Sprintf("ALLOCS REGRESSION (%+.1f%% allocs/op)", (c.AllocsPerOp/b.AllocsPerOp-1)*100)
 				d.Failed = true
 			}
 		}

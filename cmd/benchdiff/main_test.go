@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func res(name string, ns float64, allocs int64) Result {
+func res(name string, ns, allocs float64) Result {
 	return Result{Name: name, NsPerOp: ns, AllocsPerOp: allocs}
 }
 
@@ -150,6 +150,12 @@ func TestParse(t *testing.T) {
 		{name: "empty", in: "", err: "no benchmark results"},
 		{name: "no results", in: "goos: linux\nPASS\nok  \trepro/internal/trace\t0.01s\n", err: "no benchmark results"},
 		{
+			name: "repeated runs fold into medians",
+			in: "BenchmarkA-2 10 300 ns/op 0 B/op 7 allocs/op\nBenchmarkB-2 10 50 ns/op 0 B/op 1 allocs/op\n" +
+				"BenchmarkA-2 10 100 ns/op 0 B/op 5 allocs/op\nBenchmarkA-2 10 200 ns/op 0 B/op 5 allocs/op\n",
+			want: []Result{{"BenchmarkA", 200, 5}, {"BenchmarkB", 50, 1}},
+		},
+		{
 			name: "duplicate name across procs suffixes",
 			in:   "BenchmarkA-2 10 100 ns/op 0 B/op 1 allocs/op\nBenchmarkA-4 10 120 ns/op 0 B/op 1 allocs/op\n",
 			err:  "line 2: duplicate benchmark BenchmarkA",
@@ -227,5 +233,57 @@ func TestParseGoTestOutput(t *testing.T) {
 		if d.Failed {
 			t.Errorf("self-comparison failed: %+v", d)
 		}
+	}
+}
+
+// TestMedians: an odd count of runs gates on the middle run's ns/op and
+// allocs/op, an even count on the mean of the middle two.
+func TestMedians(t *testing.T) {
+	cases := []struct {
+		name   string
+		runs   []Result
+		ns     float64
+		allocs float64
+	}{
+		{"one run", []Result{res("A", 70, 3)}, 70, 3},
+		{"odd count", []Result{res("A", 900, 4), res("A", 100, 6), res("A", 120, 5)}, 120, 5},
+		{"even count", []Result{res("A", 900, 4), res("A", 100, 6), res("A", 120, 5), res("A", 140, 5)}, 130, 5},
+		{"even count, fractional allocs", []Result{res("A", 100, 4), res("A", 200, 5)}, 150, 4.5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := medians(tc.runs)
+			if len(got) != 1 || got[0].NsPerOp != tc.ns || got[0].AllocsPerOp != tc.allocs {
+				t.Errorf("medians = %+v, want ns/op %v and allocs/op %v", got, tc.ns, tc.allocs)
+			}
+		})
+	}
+}
+
+// TestCompareSingleBaselineAgainstRepeatedRun: a one-line baseline gates the
+// median of a repeated run, so one slow run of three passes and two fail.
+func TestCompareSingleBaselineAgainstRepeatedRun(t *testing.T) {
+	base, err := parse(strings.NewReader("BenchmarkA-2 10 1000 ns/op 0 B/op 10 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := Gate{Threshold: 0.30, MinNs: 500, MaxAllocsGrowth: 0.10}
+	for _, tc := range []struct {
+		name, run string
+		fail      bool
+	}{
+		{"one slow run", "BenchmarkA-2 10 1000 ns/op 0 B/op 10 allocs/op\nBenchmarkA-2 10 2500 ns/op 0 B/op 10 allocs/op\nBenchmarkA-2 10 1100 ns/op 0 B/op 10 allocs/op\n", false},
+		{"two slow runs", "BenchmarkA-2 10 1000 ns/op 0 B/op 10 allocs/op\nBenchmarkA-2 10 2500 ns/op 0 B/op 10 allocs/op\nBenchmarkA-2 10 1400 ns/op 0 B/op 10 allocs/op\n", true},
+		{"allocs median grown", "BenchmarkA-2 10 1000 ns/op 0 B/op 12 allocs/op\nBenchmarkA-2 10 1000 ns/op 0 B/op 12 allocs/op\nBenchmarkA-2 10 1000 ns/op 0 B/op 10 allocs/op\n", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur, err := parse(strings.NewReader(tc.run))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := find(t, Compare(base, cur, gate), "BenchmarkA"); d.Failed != tc.fail {
+				t.Errorf("verdict %q (current ns/op %v), want failed=%v", d.Verdict, d.CurNs, tc.fail)
+			}
+		})
 	}
 }

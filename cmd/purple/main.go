@@ -16,7 +16,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/classifier"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/llm"
@@ -106,11 +105,11 @@ func findDB(c *spider.Corpus, name string) *spider.Example {
 // front runs the retrieval half of the pipeline for a free-form question.
 func front(p *core.Pipeline, c *spider.Corpus, dbName, q string) {
 	e := findDB(c, dbName)
-	pruned := classifier.Prune(p.Classifier(), q, e.DB, classifier.DefaultPruneConfig())
+	pruned, preds := p.Retrieve(e.DB, q)
 	fmt.Println("pruned schema:")
 	fmt.Print(pruned.DB.DDL())
 	fmt.Println("predicted skeletons:")
-	for i, pr := range p.Predictor().Predict(q, 3) {
+	for i, pr := range preds {
 		fmt.Printf("  top-%d (p=%.2f): %s\n", i+1, pr.Prob, pr.Skeleton())
 	}
 	fmt.Println("(no gold available for free-form questions; the simulated LLM needs a benchmark task)")

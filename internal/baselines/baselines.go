@@ -127,7 +127,7 @@ func NewDINSQL(client llm.Client, train []*spider.Example, poolSize int, seed in
 	d := &DINSQL{Client: client, Seed: seed}
 	for i := 0; i < poolSize && i < len(keys); i++ {
 		e := groups[keys[i]].first
-		d.fixed = append(d.fixed, core.RenderDemo(e))
+		d.fixed = append(d.fixed, core.RenderDemo(e, classifier.UsedItems(e.Gold, e.DB)))
 	}
 	return d
 }
@@ -177,7 +177,7 @@ type DAILSQL struct {
 func NewDAILSQL(client llm.Client, pred *predictor.Model, train []*spider.Example, maxTokens int, seed int64) *DAILSQL {
 	d := &DAILSQL{Client: client, Pred: pred, MaxTokens: maxTokens, Seed: seed}
 	for _, e := range train {
-		d.demos = append(d.demos, core.RenderDemo(e))
+		d.demos = append(d.demos, core.RenderDemo(e, classifier.UsedItems(e.Gold, e.DB)))
 		d.kws = append(d.kws, keywordSet(sqlir.Skeleton(e.Gold)))
 		d.words = append(d.words, wordSet(e.NL))
 	}

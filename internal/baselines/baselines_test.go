@@ -14,7 +14,7 @@ import (
 func fixtures(t *testing.T) (*spider.Corpus, *classifier.Model, *predictor.Model) {
 	t.Helper()
 	c := spider.GenerateSmall(55, 0.06)
-	return c, classifier.Train(c.Train.Examples), predictor.Train(c.Train.Examples)
+	return c, classifier.Train(c.Train.Examples, classifier.UsedByExample(c.Train.Examples)), predictor.Train(c.Train.Examples)
 }
 
 func runEM(t *testing.T, tr core.Translator, examples []*spider.Example) (em, ex float64) {

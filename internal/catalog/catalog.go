@@ -449,7 +449,8 @@ func (c *Catalog) register(reg Registration, replace bool) (*Snapshot, error) {
 // or an eviction retired this generation first.
 func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot) func(context.Context) error {
 	return func(ctx context.Context) error {
-		clf := classifier.Train(warming.Demos)
+		used := classifier.UsedByExample(warming.Demos)
+		clf := classifier.Train(warming.Demos, used)
 		if err := ctx.Err(); err != nil {
 			return c.buildFailed(err)
 		}
@@ -459,7 +460,7 @@ func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot) func(context.
 		}
 		ready := *warming
 		ready.State = StateReady
-		ready.Pipeline = core.NewWithModels(warming.Demos, warming.Cache, c.cfg.Base.Config(), clf, pred)
+		ready.Pipeline = core.NewWithModels(warming.Demos, used, warming.Cache, c.cfg.Base.Config(), clf, pred)
 		ready.Built = c.now()
 
 		c.mu.Lock()
@@ -501,7 +502,7 @@ func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot) func(context.
 func (c *Catalog) resident(s *Snapshot, clf *classifier.Model, pred *predictor.Model) *Snapshot {
 	s.Cache = llm.NewCache(c.cfg.Client, tenantCacheEntries)
 	s.Plans = sqlexec.NewPlanCache(tenantPlanEntries)
-	s.Pipeline = core.NewWithModels(s.Demos, s.Cache, c.cfg.Base.Config(), clf, pred)
+	s.Pipeline = core.NewWithModels(s.Demos, classifier.UsedByExample(s.Demos), s.Cache, c.cfg.Base.Config(), clf, pred)
 	return s
 }
 

@@ -8,7 +8,7 @@
 package classifier
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/schema"
@@ -25,19 +25,38 @@ type Model struct {
 	wordTotal map[string]float64
 }
 
-// Train fits the model on training examples.
-func Train(examples []*spider.Example) *Model {
+// Used is what a query reads of its database: its tables, lower-cased, and
+// its columns as lower-cased "table.column", each sorted and without
+// repeats. These are the training labels (presence or absence per item, as
+// in RESDSQL), and a demonstration's schema is pruned to them. Slices, not
+// sets: a pipeline build holds every training example's Used at once.
+type Used struct {
+	Tables, Columns []string
+}
+
+// UsedByExample computes each example's Used items once, for Train and for
+// rendering the examples as demonstrations alike.
+func UsedByExample(examples []*spider.Example) []Used {
+	out := make([]Used, len(examples))
+	for i, e := range examples {
+		out[i] = UsedItems(e.Gold, e.DB)
+	}
+	return out
+}
+
+// Train fits the model on training examples; used[i] is UsedItems of
+// examples[i] (UsedByExample).
+func Train(examples []*spider.Example, used []Used) *Model {
 	m := &Model{assoc: map[string]map[string]float64{}, wordTotal: map[string]float64{}}
-	for _, e := range examples {
-		usedT, usedC := UsedItems(e.Gold, e.DB)
+	for i, e := range examples {
 		words := contentWords(e.NL)
 		var nameTokens []string
-		for t := range usedT {
-			nameTokens = append(nameTokens, nameTokensOf(t)...)
+		for _, t := range used[i].Tables {
+			nameTokens = append(nameTokens, schema.NameTokens(t)...)
 		}
-		for tc := range usedC {
+		for _, tc := range used[i].Columns {
 			parts := strings.SplitN(tc, ".", 2)
-			nameTokens = append(nameTokens, nameTokensOf(parts[len(parts)-1])...)
+			nameTokens = append(nameTokens, schema.NameTokens(parts[len(parts)-1])...)
 		}
 		for _, w := range words {
 			m.wordTotal[w]++
@@ -55,12 +74,10 @@ func Train(examples []*spider.Example) *Model {
 }
 
 // UsedItems extracts the tables and columns referenced by a query,
-// resolving aliases and unqualified columns against the database. Tables are
-// lower-cased names; columns are "table.column". These are the training
-// labels (presence/absence per item, as in RESDSQL).
-func UsedItems(sel *sqlir.Select, db *schema.Database) (tables map[string]bool, columns map[string]bool) {
-	tables = map[string]bool{}
-	columns = map[string]bool{}
+// resolving aliases and unqualified columns against the database.
+func UsedItems(sel *sqlir.Select, db *schema.Database) Used {
+	tables := map[string]bool{}
+	columns := map[string]bool{}
 	sqlir.WalkSelects(sel, func(s *sqlir.Select) {
 		alias := map[string]string{}
 		var fromTables []string
@@ -104,97 +121,84 @@ func UsedItems(sel *sqlir.Select, db *schema.Database) (tables map[string]bool, 
 			}
 		})
 	})
-	return tables, columns
+	items := make([]string, 0, len(tables)+len(columns))
+	for t := range tables {
+		items = append(items, t)
+	}
+	for c := range columns {
+		items = append(items, c)
+	}
+	u := Used{Tables: items[:len(tables):len(tables)], Columns: items[len(tables):]}
+	slices.Sort(u.Tables)
+	slices.Sort(u.Columns)
+	return u
 }
 
-// ScoreTables returns a relevance probability per table name for the query.
-func (m *Model) ScoreTables(nl string, db *schema.Database) map[string]float64 {
-	words := contentWords(nl)
-	out := map[string]float64{}
-	for _, t := range db.Tables {
-		out[strings.ToLower(t.Name)] = m.scoreItem(words, itemNameVariants(t.Name, t.NLName))
-	}
-	return out
+// question is a question resolved against the model once: its content
+// words, and the association row of each one the model saw at least three
+// times in training, in word order with repeats.
+type question struct {
+	words []string
+	rows  []assocRow
 }
 
-// ScoreColumns returns a relevance probability per column of one table.
-func (m *Model) ScoreColumns(nl string, t *schema.Table) map[string]float64 {
-	words := contentWords(nl)
-	out := map[string]float64{}
-	for _, c := range t.Columns {
-		out[strings.ToLower(c.Name)] = m.scoreItem(words, itemNameVariants(c.Name, c.NLName))
-	}
-	return out
+type assocRow struct {
+	total float64
+	row   map[string]float64
 }
 
-// scoreItem produces a bounded [0,1] relevance score: the maximum of direct
-// lexical recall and the learned association signal.
-func (m *Model) scoreItem(nlWords []string, variants [][]string) float64 {
-	wordSet := map[string]bool{}
-	for _, w := range nlWords {
-		wordSet[w] = true
-	}
-	best := 0.0
-	for _, tokens := range variants {
-		if len(tokens) == 0 {
+func (m *Model) question(nl string) question {
+	q := question{words: contentWords(nl)}
+	q.rows = make([]assocRow, 0, len(q.words))
+	for _, w := range q.words {
+		total := m.wordTotal[w]
+		if total < 3 {
 			continue
 		}
+		q.rows = append(q.rows, assocRow{total, m.assoc[w]})
+	}
+	return q
+}
+
+// score is an item's bounded [0,1] relevance: the maximum over its name
+// variants of direct lexical recall and of the damped learned association,
+// the mean over the question's rows of the strongest normalized
+// co-occurrence with one of the variant's tokens.
+func (q *question) score(it *schema.Item) float64 {
+	best := 0.0
+	for _, tokens := range it.Variants {
 		hit := 0
 		for _, tok := range tokens {
-			if wordSet[tok] {
+			if slices.Contains(q.words, tok) {
 				hit++
 			}
 		}
-		lex := float64(hit) / float64(len(tokens))
-		if lex > best {
+		if lex := float64(hit) / float64(len(tokens)); lex > best {
 			best = lex
 		}
-		// learned association: mean over NL words of the normalized
-		// co-occurrence with this item's tokens.
+		if len(q.rows) == 0 {
+			continue
+		}
 		var learned float64
-		var used float64
-		for _, w := range nlWords {
-			total := m.wordTotal[w]
-			if total < 3 {
-				continue
-			}
-			row := m.assoc[w]
+		for _, r := range q.rows {
 			var s float64
 			for _, tok := range tokens {
-				if v := row[tok]; v/total > s {
-					s = v / total
+				if v := r.row[tok]; v/r.total > s {
+					s = v / r.total
 				}
 			}
 			learned += s
-			used++
 		}
-		if used > 0 {
-			learned = learned / used
-			// Associations are diffuse; damp them below direct matches.
-			if l := learned * 0.85; l > best {
-				best = l
-			}
+		learned = learned / float64(len(q.rows))
+		// Associations are diffuse; damp them below direct matches.
+		if l := learned * 0.85; l > best {
+			best = l
 		}
 	}
 	if best > 1 {
 		best = 1
 	}
 	return best
-}
-
-// nameTokensOf splits a schema identifier into lower-cased tokens.
-func nameTokensOf(name string) []string {
-	return strings.Split(strings.ToLower(name), "_")
-}
-
-// itemNameVariants lists token sequences for an item: SQL name tokens and NL
-// name words.
-func itemNameVariants(sqlName, nlName string) [][]string {
-	v := [][]string{nameTokensOf(sqlName)}
-	if nlName != "" {
-		v = append(v, strings.Fields(strings.ToLower(nlName)))
-	}
-	return v
 }
 
 var stopwords = map[string]bool{
@@ -207,16 +211,15 @@ var stopwords = map[string]bool{
 }
 
 // contentWords tokenizes NL into lower-cased content words, singularizing
-// trailing plural s so "singers" matches "singer".
+// trailing plural s so "singers" matches "singer" (both are kept). Words
+// are substrings of nl where lower-casing leaves them unchanged.
 func contentWords(nl string) []string {
-	var out []string
-	word := strings.Builder{}
-	flush := func() {
-		if word.Len() == 0 {
+	out := make([]string, 0, 16)
+	add := func(w string) {
+		if w == "" {
 			return
 		}
-		w := strings.ToLower(word.String())
-		word.Reset()
+		w = strings.ToLower(w)
 		if stopwords[w] {
 			return
 		}
@@ -225,40 +228,14 @@ func contentWords(nl string) []string {
 			out = append(out, strings.TrimSuffix(w, "s"))
 		}
 	}
-	for _, r := range nl {
-		if r == ' ' || r == ',' || r == '?' || r == '.' || r == '\'' || r == '"' {
-			flush()
-			continue
+	start := 0
+	for i := 0; i < len(nl); i++ {
+		switch nl[i] {
+		case ' ', ',', '?', '.', '\'', '"':
+			add(nl[start:i])
+			start = i + 1
 		}
-		word.WriteRune(r)
 	}
-	flush()
-	return out
-}
-
-// TopK returns the k highest-scoring names from a score map (ties broken
-// lexicographically for determinism).
-func TopK(scores map[string]float64, k int) []string {
-	type kv struct {
-		name  string
-		score float64
-	}
-	var all []kv
-	for n, s := range scores {
-		all = append(all, kv{n, s})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return all[i].name < all[j].name
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = all[i].name
-	}
+	add(nl[start:])
 	return out
 }

@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,37 +9,45 @@ import (
 	"repro/internal/sqlir"
 )
 
+// paperPrune is the paper's pruning configuration, the one the pipeline
+// runs with by default.
+var paperPrune = PruneConfig{TauP: 0.5, TauN: 5, UseSteiner: true, TopK1: 4, TopK2: 5}
+
 func corpus(t *testing.T) *spider.Corpus {
 	t.Helper()
 	return spider.GenerateSmall(5, 0.08)
+}
+
+// train fits a model on the corpus's training split.
+func train(c *spider.Corpus) *Model {
+	return Train(c.Train.Examples, UsedByExample(c.Train.Examples))
 }
 
 func TestUsedItemsExtraction(t *testing.T) {
 	c := corpus(t)
 	e := c.Dev.Examples[0]
 	sel := sqlir.MustParse("SELECT T1.age FROM singer AS T1 JOIN band AS T2 ON T1.band_id = T2.id WHERE T2.genre = 'rock'")
-	tables, cols := UsedItems(sel, e.DB)
-	if !tables["singer"] || !tables["band"] {
-		t.Errorf("tables = %v", tables)
+	used := UsedItems(sel, e.DB)
+	if want := []string{"band", "singer"}; !slices.Equal(used.Tables, want) {
+		t.Errorf("tables = %v, want %v", used.Tables, want)
 	}
-	for _, want := range []string{"singer.age", "singer.band_id", "band.id", "band.genre"} {
-		if !cols[want] {
-			t.Errorf("missing column %s in %v", want, cols)
-		}
+	if want := []string{"band.genre", "band.id", "singer.age", "singer.band_id"}; !slices.Equal(used.Columns, want) {
+		t.Errorf("columns = %v, want %v", used.Columns, want)
 	}
 }
 
 func TestTrainAndScoreLexical(t *testing.T) {
 	c := corpus(t)
-	m := Train(c.Train.Examples)
+	m := train(c)
 	e := c.Dev.Examples[0]
-	usedT, _ := UsedItems(e.Gold, e.DB)
-	scores := m.ScoreTables(e.NL, e.DB)
+	usedT := UsedItems(e.Gold, e.DB).Tables
+	q := m.question(e.NL)
+	scores := q.scoreTables(e.DB.Index())
 	// Every used table should outscore the average unused table.
 	var usedSum, unusedSum float64
 	var usedN, unusedN int
-	for name, s := range scores {
-		if usedT[name] {
+	for i, s := range scores {
+		if slices.Contains(usedT, e.DB.Index().Tables[i].Name) {
 			usedSum += s
 			usedN++
 		} else {
@@ -57,7 +66,7 @@ func TestTrainAndScoreLexical(t *testing.T) {
 
 // tableRecall computes table-level pruning recall against the gold-used tables:
 // the fraction of needed tables that survived pruning.
-func tableRecall(kept []string, used map[string]bool) float64 {
+func tableRecall(kept []string, used []string) float64 {
 	if len(used) == 0 {
 		return 1
 	}
@@ -66,7 +75,7 @@ func tableRecall(kept []string, used map[string]bool) float64 {
 		inKept[strings.ToLower(t)] = true
 	}
 	hit := 0
-	for t := range used {
+	for _, t := range used {
 		if inKept[strings.ToLower(t)] {
 			hit++
 		}
@@ -78,13 +87,12 @@ func tableRecall(kept []string, used map[string]bool) float64 {
 // pruning must rarely drop a table the gold SQL needs.
 func TestPruneRecall(t *testing.T) {
 	c := corpus(t)
-	m := Train(c.Train.Examples)
-	cfg := DefaultPruneConfig()
+	m := train(c)
+	cfg := paperPrune
 	var total, recall float64
 	for _, e := range c.Dev.Examples {
 		res := Prune(m, e.NL, e.DB, cfg)
-		usedT, _ := UsedItems(e.Gold, e.DB)
-		recall += tableRecall(res.KeptTables, usedT)
+		recall += tableRecall(res.KeptTables, UsedItems(e.Gold, e.DB).Tables)
 		total++
 	}
 	if r := recall / total; r < 0.85 {
@@ -94,8 +102,8 @@ func TestPruneRecall(t *testing.T) {
 
 func TestPruneShrinksSchema(t *testing.T) {
 	c := corpus(t)
-	m := Train(c.Train.Examples)
-	cfg := DefaultPruneConfig()
+	m := train(c)
+	cfg := paperPrune
 	var before, after int
 	for _, e := range c.Dev.Examples {
 		res := Prune(m, e.NL, e.DB, cfg)
@@ -113,8 +121,8 @@ func TestPruneShrinksSchema(t *testing.T) {
 
 func TestPruneKeepsConnectivity(t *testing.T) {
 	c := corpus(t)
-	m := Train(c.Train.Examples)
-	cfg := DefaultPruneConfig()
+	m := train(c)
+	cfg := paperPrune
 	for _, e := range c.Dev.Examples[:20] {
 		res := Prune(m, e.NL, e.DB, cfg)
 		if len(res.DB.Tables) == 0 {
@@ -129,11 +137,19 @@ func TestPruneKeepsConnectivity(t *testing.T) {
 	}
 }
 
+// TestTopKDeterministic: the top k go by score, ties by name, whatever the
+// items' order.
 func TestTopKDeterministic(t *testing.T) {
-	scores := map[string]float64{"a": 0.5, "b": 0.5, "c": 0.9}
-	got := TopK(scores, 2)
-	if got[0] != "c" || got[1] != "a" {
-		t.Errorf("TopK = %v", got)
+	names := []string{"b", "c", "a"}
+	scores := []float64{0.5, 0.9, 0.5}
+	name := func(i int) string { return names[i] }
+	got := make([]bool, 3)
+	markTopK(scores, name, 2, got)
+	if !got[1] || !got[2] || got[0] {
+		t.Errorf("top 2 of %v %v = %v, want c and a", names, scores, got)
+	}
+	if i := argmax([]float64{0.5, 0.5}, name); i != 0 {
+		t.Errorf("argmax of a tie between b and c = %s", names[i])
 	}
 }
 
@@ -141,7 +157,7 @@ func TestRecallEdgeCases(t *testing.T) {
 	if tableRecall(nil, nil) != 1 {
 		t.Error("empty used set should give recall 1")
 	}
-	if tableRecall([]string{"a"}, map[string]bool{"a": true, "b": true}) != 0.5 {
+	if tableRecall([]string{"a"}, []string{"a", "b"}) != 0.5 {
 		t.Error("partial recall wrong")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/predictor"
 	"repro/internal/prompt"
+	"repro/internal/schema"
 	"repro/internal/selection"
 	"repro/internal/spider"
 	"repro/internal/sqlir"
@@ -120,13 +121,16 @@ type Pipeline struct {
 // block, with its schema pruned to the items its gold SQL uses (Section
 // III-A). The pipeline keeps only the rendered text, not the pruned schemas.
 func New(train []*spider.Example, client llm.Client, cfg Config) *Pipeline {
-	return NewWithModels(train, client, cfg, classifier.Train(train), predictor.Train(train))
+	used := classifier.UsedByExample(train)
+	return NewWithModels(train, used, client, cfg, classifier.Train(train, used), predictor.Train(train))
 }
 
 // NewWithModels builds a pipeline around pre-trained substrate models —
 // useful when sweeping many configurations over the same training set (the
-// Figure 11/12 grids) without retraining per cell.
-func NewWithModels(train []*spider.Example, client llm.Client, cfg Config, clf *classifier.Model, pred *predictor.Model) *Pipeline {
+// Figure 11/12 grids) without retraining per cell. used[i] is the items
+// train[i]'s gold SQL uses (classifier.UsedByExample), the labels the
+// classifier trained on.
+func NewWithModels(train []*spider.Example, used []classifier.Used, client llm.Client, cfg Config, clf *classifier.Model, pred *predictor.Model) *Pipeline {
 	p := &Pipeline{
 		cfg:    cfg,
 		client: client,
@@ -136,7 +140,7 @@ func NewWithModels(train []*spider.Example, client llm.Client, cfg Config, clf *
 	var skeletons [][]string
 	for i, e := range train {
 		skeletons = append(skeletons, sqlir.Skeleton(e.Gold))
-		p.demos = append(p.demos, RenderDemo(e))
+		p.demos = append(p.demos, RenderDemo(e, used[i]))
 		p.allIdx = append(p.allIdx, i)
 	}
 	p.hier = automaton.BuildHierarchy(skeletons)
@@ -144,24 +148,28 @@ func NewWithModels(train []*spider.Example, client llm.Client, cfg Config, clf *
 }
 
 // RenderDemo renders a training example as its prompt demonstration: its
-// schema pruned to the tables and columns its gold SQL uses, its question
-// and its gold SQL. The pruned schema is dropped once the block is written.
-func RenderDemo(e *spider.Example) prompt.Demo {
-	usedT, usedC := classifier.UsedItems(e.Gold, e.DB)
-	var keep []string
-	keepCols := map[string]map[string]bool{}
-	for t := range usedT {
-		keep = append(keep, t)
-		keepCols[t] = map[string]bool{}
-	}
-	for tc := range usedC {
-		for t := range usedT {
-			if len(tc) > len(t) && tc[:len(t)] == t && tc[len(t)] == '.' {
-				keepCols[t][tc[len(t)+1:]] = true
+// schema pruned to the tables and columns its gold SQL uses (used, from
+// classifier.UsedItems), its question and its gold SQL. The pruned schema
+// is dropped once the block is written.
+func RenderDemo(e *spider.Example, used classifier.Used) prompt.Demo {
+	keep := make([][]bool, len(e.DB.Tables))
+	for i, t := range e.DB.Index().Tables {
+		if !slices.Contains(used.Tables, t.Name) {
+			continue
+		}
+		keep[i] = make([]bool, len(t.Columns))
+		for _, tc := range used.Columns {
+			if len(tc) <= len(t.Name) || tc[:len(t.Name)] != t.Name || tc[len(t.Name)] != '.' {
+				continue
+			}
+			for j, c := range t.Columns {
+				if c.Name == tc[len(t.Name)+1:] {
+					keep[i][j] = true
+				}
 			}
 		}
 	}
-	return prompt.NewDemo(e.DB.Prune(keep, keepCols), e.NL, e.GoldSQL)
+	return prompt.NewDemo(e.DB.Prune(keep), e.NL, e.GoldSQL)
 }
 
 // pruneConfig is schema pruning's configuration for a task's question.
@@ -170,6 +178,23 @@ func (p *Pipeline) pruneConfig() classifier.PruneConfig {
 		TauP: p.cfg.TauP, TauN: p.cfg.TauN,
 		UseSteiner: p.cfg.UseSteinerTree, TopK1: 4, TopK2: 5,
 	}
+}
+
+// topK is how many skeletons the pipeline predicts per question.
+func (p *Pipeline) topK() int {
+	if p.cfg.TopK <= 0 {
+		return 3
+	}
+	return p.cfg.TopK
+}
+
+// Retrieve runs the pipeline's retrieval front half on a free-form
+// question over db: schema pruning and skeleton prediction, with the
+// pipeline's own τp, τn, Steiner switch and TopK. A question with no gold
+// SQL behind it can be served this far and no further: the simulated LLM
+// needs a task.
+func (p *Pipeline) Retrieve(db *schema.Database, question string) (classifier.PruneResult, []predictor.Prediction) {
+	return classifier.Prune(p.clf, question, db, p.pruneConfig()), p.pred.Predict(question, p.topK())
 }
 
 // Name implements Translator.
@@ -219,11 +244,7 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 		preds = [][]string{sqlir.Skeleton(e.Gold)}
 	} else {
 		_, sp := trace.StartSpan(ctx, "pipeline.predict")
-		k := p.cfg.TopK
-		if k <= 0 {
-			k = 3
-		}
-		for _, pr := range p.pred.Predict(e.NL, k) {
+		for _, pr := range p.pred.Predict(e.NL, p.topK()) {
 			preds = append(preds, pr.Tokens)
 		}
 		sp.SetAttrs(trace.Int("skeletons", int64(len(preds))))

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/classifier"
 	"repro/internal/eval"
 	"repro/internal/llm"
 	"repro/internal/prompt"
@@ -198,7 +199,7 @@ func TestRenderDemoPrunesSchema(t *testing.T) {
 		if unused == "" {
 			continue
 		}
-		d, full := RenderDemo(e), prompt.NewDemo(e.DB, e.NL, e.GoldSQL)
+		d, full := RenderDemo(e, classifier.UsedItems(e.Gold, e.DB)), prompt.NewDemo(e.DB, e.NL, e.GoldSQL)
 		if len(d.Text) > len(full.Text) || d.Tokens != prompt.Tokens(d.Text) {
 			t.Errorf("pruned block is %d bytes (%d tokens), the unpruned one %d", len(d.Text), d.Tokens, len(full.Text))
 		}

@@ -23,6 +23,9 @@ import (
 // distilled test suites, built once and reused across experiments.
 type Env struct {
 	Corpus *spider.Corpus
+	// Used is each training example's used items, the classifier's labels
+	// and its demonstration's schema.
+	Used   []classifier.Used
 	Clf    *classifier.Model
 	Pred   *predictor.Model
 	suites map[string]*eval.Suite
@@ -34,9 +37,11 @@ type Env struct {
 // iteration).
 func NewEnv(seed int64, scale float64) *Env {
 	c := spider.GenerateSmall(seed, scale)
+	used := classifier.UsedByExample(c.Train.Examples)
 	env := &Env{
 		Corpus: c,
-		Clf:    classifier.Train(c.Train.Examples),
+		Used:   used,
+		Clf:    classifier.Train(c.Train.Examples, used),
 		Pred:   predictor.Train(c.Train.Examples),
 		suites: map[string]*eval.Suite{},
 		seed:   seed,
@@ -178,7 +183,7 @@ func (env *Env) PurpleWith(tier llm.Tier, cfg core.Config) *core.Pipeline {
 // PurpleWithClient builds PURPLE around an arbitrary LLM client — e.g. a
 // llm.Cache-wrapped Sim — reusing the environment's trained substrate models.
 func (env *Env) PurpleWithClient(client llm.Client, cfg core.Config) *core.Pipeline {
-	return core.NewWithModels(env.Corpus.Train.Examples, client, cfg, env.Clf, env.Pred)
+	return core.NewWithModels(env.Corpus.Train.Examples, env.Used, client, cfg, env.Clf, env.Pred)
 }
 
 // ChatGPTSQL builds the zero-shot baseline.

@@ -486,6 +486,9 @@ func (m *Manager) run(j *job) {
 	})
 
 	j.mu.Lock()
+	// The record stays queryable until the TTL collects it; the function
+	// need not, nor what it holds (a catalog build's warming snapshot).
+	j.runFn = nil
 	j.results = results
 	j.stats = stats
 	j.completed = stats.Completed

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -629,6 +630,43 @@ func TestRunJobs(t *testing.T) {
 	if _, err := m.Submit(Request{}); err != ErrEmpty {
 		t.Fatalf("empty submit: %v, want ErrEmpty", err)
 	}
+}
+
+// TestFinishedRunJobReleasesItsFunction: a finished job's record stays
+// until the TTL collects it, but its Run function does not, so what the
+// function holds is freed when the job ends.
+func TestFinishedRunJobReleasesItsFunction(t *testing.T) {
+	m := NewManager(nil, Config{Runners: 1, Queue: 4})
+	defer shutdownOrFail(t, m)
+	freed := make(chan struct{})
+	submit := func() string {
+		held := new([1 << 16]byte)
+		runtime.SetFinalizer(held, func(*[1 << 16]byte) { close(freed) })
+		st, err := m.Submit(Request{Label: "hold", Run: func(context.Context) error {
+			held[0]++
+			return nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	id := submit()
+	if final := waitFinished(t, m, id); final.State != StateDone {
+		t.Fatalf("run job: %+v", final)
+	}
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			if _, err := m.Get(id); err != nil {
+				t.Errorf("the finished job's record is gone before its TTL: %v", err)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the finished job still holds what its Run function captured")
 }
 
 // TestTranslatorOverride pins the per-job translator: one manager serves

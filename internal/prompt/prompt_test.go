@@ -184,21 +184,19 @@ func TestBuildMatchesPerCallRenderer(t *testing.T) {
 // prunedSchema prunes a training example's schema to the tables and
 // columns its gold SQL uses, as the pipeline does before rendering it.
 func prunedSchema(e *spider.Example) *schema.Database {
-	usedT, usedC := classifier.UsedItems(e.Gold, e.DB)
-	var keep []string
-	keepCols := map[string]map[string]bool{}
-	for t := range usedT {
-		keep = append(keep, t)
-		keepCols[t] = map[string]bool{}
-	}
-	for tc := range usedC {
-		for t := range usedT {
-			if len(tc) > len(t) && tc[:len(t)] == t && tc[len(t)] == '.' {
-				keepCols[t][tc[len(t)+1:]] = true
-			}
+	used := classifier.UsedItems(e.Gold, e.DB)
+	keep := make([][]bool, len(e.DB.Tables))
+	for i, t := range e.DB.Tables {
+		tn := strings.ToLower(t.Name)
+		if !slices.Contains(used.Tables, tn) {
+			continue
+		}
+		keep[i] = make([]bool, len(t.Columns))
+		for j, c := range t.Columns {
+			keep[i][j] = slices.Contains(used.Columns, tn+"."+strings.ToLower(c.Name))
 		}
 	}
-	return e.DB.Prune(keep, keepCols)
+	return e.DB.Prune(keep)
 }
 
 // refDemo and refBuild are the renderer Build replaced: it rendered each

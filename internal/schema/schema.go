@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -151,6 +152,10 @@ type Database struct {
 	// stays valid; Clone and Prune build fresh Databases with a clear
 	// cache.
 	fp atomic.Uint64
+
+	// idx is the pruning index Index builds on first use, under idxOnce.
+	idxOnce sync.Once
+	idx     *Index
 }
 
 // Fingerprint hashes the database's structural identity: table order,
@@ -271,47 +276,183 @@ func (d *Database) Clone() *Database {
 }
 
 // Prune returns the schema of the kept tables and, within them, of the kept
-// columns (plus primary keys, which are always retained so join semantics
-// survive), with the foreign keys between kept tables. It copies no rows:
-// a pruned schema is what a prompt shows, and queries run against the full
-// database. keepCols maps lower-cased table name to the set of lower-cased
-// column names to keep; a nil set keeps all.
-func (d *Database) Prune(keepTables []string, keepCols map[string]map[string]bool) *Database {
-	keepT := make(map[string]bool, len(keepTables))
-	for _, t := range keepTables {
-		keepT[strings.ToLower(t)] = true
-	}
-	nd := &Database{Name: d.Name}
-	for _, t := range d.Tables {
-		if !keepT[strings.ToLower(t.Name)] {
-			continue
+// columns, plus each kept table's primary key and every column with a
+// foreign key into a kept table, so join semantics survive; and the foreign
+// keys between kept tables. keep[i] is nil when d.Tables[i] is dropped;
+// otherwise keep[i][j] keeps its column j. It copies no rows: a pruned
+// schema is what a prompt shows, and queries run against the full
+// database. The pruned tables share one backing array, and so do their
+// columns.
+func (d *Database) Prune(keep [][]bool) *Database {
+	x := d.Index()
+	kept := func(i int) bool { return i >= 0 && keep[i] != nil }
+	keepCol := func(i, j int) bool {
+		c := &x.Tables[i].Columns[j]
+		if keep[i][j] || c.key {
+			return true
 		}
-		cols := keepCols[strings.ToLower(t.Name)]
-		nt := &Table{Name: t.Name, NLName: t.NLName, PrimaryKey: t.PrimaryKey}
-		for _, c := range t.Columns {
-			keep := cols == nil || cols[strings.ToLower(c.Name)] ||
-				strings.EqualFold(c.Name, t.PrimaryKey)
-			if !keep {
-				// FK columns referenced by kept foreign keys must survive too.
-				for _, fk := range d.ForeignKeys {
-					if strings.EqualFold(fk.FromTable, t.Name) && strings.EqualFold(fk.FromColumn, c.Name) && keepT[strings.ToLower(fk.ToTable)] {
-						keep = true
-						break
-					}
+		for _, to := range c.fkTo {
+			if kept(to) {
+				return true
+			}
+		}
+		return false
+	}
+	nTables, nCols := 0, 0
+	for i, t := range d.Tables {
+		if kept(i) {
+			nTables++
+			for j := range t.Columns {
+				if keepCol(i, j) {
+					nCols++
 				}
 			}
-			if keep {
-				nt.Columns = append(nt.Columns, c)
+		}
+	}
+	nd := &Database{Name: d.Name}
+	if nTables > 0 {
+		nd.Tables = make([]*Table, 0, nTables)
+	}
+	tables := make([]Table, nTables)
+	cols := make([]Column, nCols)
+	for i, t := range d.Tables {
+		if !kept(i) {
+			continue
+		}
+		nt := &tables[len(nd.Tables)]
+		*nt = Table{Name: t.Name, NLName: t.NLName, PrimaryKey: t.PrimaryKey}
+		n := 0
+		for j, c := range t.Columns {
+			if keepCol(i, j) {
+				cols[n] = c
+				n++
 			}
+		}
+		if n > 0 {
+			nt.Columns, cols = cols[:n:n], cols[n:]
 		}
 		nd.Tables = append(nd.Tables, nt)
 	}
-	for _, fk := range d.ForeignKeys {
-		if keepT[strings.ToLower(fk.FromTable)] && keepT[strings.ToLower(fk.ToTable)] {
+	for f, fk := range d.ForeignKeys {
+		if kept(x.fks[f][0]) && kept(x.fks[f][1]) {
 			nd.ForeignKeys = append(nd.ForeignKeys, fk)
 		}
 	}
 	return nd
+}
+
+// NameTokens splits a schema identifier into its lower-cased "_"-separated
+// tokens: "Singer_ID" → ["singer", "id"].
+func NameTokens(name string) []string {
+	return strings.Split(strings.ToLower(name), "_")
+}
+
+// Index is what schema pruning reads of a database for every question,
+// derived from the schema once: lower-cased names, each item's name-token
+// variants, the foreign-key graph and which columns carry a foreign key.
+// It assumes what ValidateDatabase in the catalog enforces and the corpus
+// generator guarantees: table names, and the column names within a table,
+// are distinct case-insensitively.
+type Index struct {
+	// Tables indexes the database's tables, in declaration order.
+	Tables []TableIndex
+	// Adjacency is the foreign-key graph over lower-cased table names, as
+	// (*Database).Adjacency returns it. Callers must not modify it.
+	Adjacency map[string]map[string]bool
+
+	pos map[string]int // lower-cased table name → its position
+	fks [][2]int       // each foreign key's from and to table positions, -1 when missing
+}
+
+// Item is one table or column as schema pruning scores it.
+type Item struct {
+	// Name is the lower-cased SQL name.
+	Name string
+	// Variants are the token sequences the item answers to: the NameTokens
+	// of its SQL name, then the lower-cased words of its natural-language
+	// name when that has any.
+	Variants [][]string
+}
+
+// TableIndex is one table's entry in an Index.
+type TableIndex struct {
+	Item
+	// Columns indexes the table's columns, in declaration order.
+	Columns []ColumnIndex
+}
+
+// ColumnIndex is one column's entry in a TableIndex.
+type ColumnIndex struct {
+	Item
+	key  bool  // the table's primary key
+	fkTo []int // positions of the tables it references by foreign key
+}
+
+// Index returns the database's pruning index, building it on the first
+// call. The index never changes afterwards, so concurrent callers share it
+// read-only, and it lives exactly as long as its database. Like
+// Fingerprint, it assumes the schema is not mutated once in use.
+func (d *Database) Index() *Index {
+	d.idxOnce.Do(func() { d.idx = newIndex(d) })
+	return d.idx
+}
+
+// Position returns the position of the table with the lower-cased name.
+func (x *Index) Position(name string) (int, bool) {
+	i, ok := x.pos[name]
+	return i, ok
+}
+
+func newIndex(d *Database) *Index {
+	x := &Index{
+		Tables:    make([]TableIndex, len(d.Tables)),
+		Adjacency: d.Adjacency(),
+		pos:       make(map[string]int, len(d.Tables)),
+		fks:       make([][2]int, len(d.ForeignKeys)),
+	}
+	for i, t := range d.Tables {
+		ti := &x.Tables[i]
+		ti.Item = newItem(t.Name, t.NLName)
+		if _, dup := x.pos[ti.Name]; !dup {
+			x.pos[ti.Name] = i
+		}
+		ti.Columns = make([]ColumnIndex, len(t.Columns))
+		for j, c := range t.Columns {
+			ti.Columns[j] = ColumnIndex{Item: newItem(c.Name, c.NLName), key: strings.EqualFold(c.Name, t.PrimaryKey)}
+		}
+	}
+	position := func(table string) int {
+		if i, ok := x.pos[strings.ToLower(table)]; ok {
+			return i
+		}
+		return -1
+	}
+	for f, fk := range d.ForeignKeys {
+		to := position(fk.ToTable)
+		x.fks[f] = [2]int{position(fk.FromTable), to}
+		if to < 0 {
+			continue
+		}
+		for i, t := range d.Tables {
+			if !strings.EqualFold(t.Name, fk.FromTable) {
+				continue
+			}
+			for j, c := range t.Columns {
+				if strings.EqualFold(c.Name, fk.FromColumn) {
+					x.Tables[i].Columns[j].fkTo = append(x.Tables[i].Columns[j].fkTo, to)
+				}
+			}
+		}
+	}
+	return x
+}
+
+func newItem(name, nlName string) Item {
+	it := Item{Name: strings.ToLower(name), Variants: [][]string{NameTokens(name)}}
+	if words := strings.Fields(strings.ToLower(nlName)); len(words) > 0 {
+		it.Variants = append(it.Variants, words)
+	}
+	return it
 }
 
 // RepresentativeValues returns up to max distinct values of the column for

@@ -1,7 +1,9 @@
 package schema
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -98,10 +100,8 @@ func TestCloneIsDeep(t *testing.T) {
 
 func TestPruneKeepsPKAndFK(t *testing.T) {
 	db := sampleDB()
-	pruned := db.Prune([]string{"a", "b"}, map[string]map[string]bool{
-		"a": {"x": true},
-		"b": {"z": true},
-	})
+	// Keep a.x and b.z; drop c.
+	pruned := db.Prune([][]bool{{false, true, false}, {false, false, true}, nil})
 	if pruned.Table("c") != nil {
 		t.Error("pruned table c survived")
 	}
@@ -119,6 +119,47 @@ func TestPruneKeepsPKAndFK(t *testing.T) {
 	// A pruned schema is a prompt's view: it carries no rows.
 	if len(a.Rows) != 0 || len(b.Rows) != 0 {
 		t.Errorf("pruned tables carry rows: a has %d, b has %d", len(a.Rows), len(b.Rows))
+	}
+}
+
+// TestIndex: the pruning index carries lower-cased names, each item's
+// name-token variants and which columns hold a foreign key, and concurrent
+// first calls share one index.
+func TestIndex(t *testing.T) {
+	db := sampleDB()
+	db.Tables[1].Name, db.Tables[1].NLName = "B", "Band Members"
+	db.Tables[1].Columns[1].NLName = "  "
+	var wg sync.WaitGroup
+	got := make([]*Index, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = db.Index()
+		}()
+	}
+	wg.Wait()
+	x := got[0]
+	for _, y := range got[1:] {
+		if y != x {
+			t.Fatal("Index built more than once")
+		}
+	}
+	b := x.Tables[1]
+	if b.Name != "b" || !reflect.DeepEqual(b.Variants, [][]string{{"b"}, {"band", "members"}}) {
+		t.Errorf("table b indexed as %+v", b.Item)
+	}
+	if aID := b.Columns[1]; !reflect.DeepEqual(aID.Variants, [][]string{{"a", "id"}}) || !reflect.DeepEqual(aID.fkTo, []int{0}) {
+		t.Errorf("b.a_id indexed as %+v", aID)
+	}
+	if !b.Columns[0].key || b.Columns[2].key || b.Columns[2].fkTo != nil {
+		t.Errorf("b's key and FK columns indexed as %+v", b.Columns)
+	}
+	if i, ok := x.Position("b"); !ok || i != 1 || !x.Adjacency["b"]["c"] {
+		t.Errorf("Position(b) = %d, %v; adjacency %v", i, ok, x.Adjacency)
+	}
+	if _, ok := x.Position("B"); ok {
+		t.Error("Position takes lower-cased names")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/classifier"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/schema"
@@ -272,9 +271,9 @@ func (s *Server) translateTenant(w http.ResponseWriter, r *http.Request, t *cata
 	if !ok {
 		// No demo close enough to supply the simulated LLM's oracle: serve
 		// the retrieval artifacts, as the benchmark free-form path does.
-		pruned := classifier.Prune(snap.Pipeline.Classifier(), question, snap.DB, classifier.DefaultPruneConfig())
+		pruned, preds := snap.Pipeline.Retrieve(snap.DB, question)
 		resp.PrunedTables = pruned.KeptTables
-		for _, p := range snap.Pipeline.Predictor().Predict(question, 3) {
+		for _, p := range preds {
 			resp.Skeletons = append(resp.Skeletons, p.Skeleton())
 		}
 		resp.Note = "no registered demonstration is close enough to this question for a graded translation; retrieval artifacts only"

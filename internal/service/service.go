@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/catalog"
-	"repro/internal/classifier"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/jobs"
@@ -328,10 +327,9 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unknown database", http.StatusNotFound)
 			return
 		}
-		db := examples[0].DB
-		pruned := classifier.Prune(s.pipeline.Classifier(), req.Question, db, classifier.DefaultPruneConfig())
+		pruned, preds := s.pipeline.Retrieve(examples[0].DB, req.Question)
 		var skels []string
-		for _, p := range s.pipeline.Predictor().Predict(req.Question, 3) {
+		for _, p := range preds {
 			skels = append(skels, p.Skeleton())
 		}
 		writeJSON(w, TranslateResponse{PrunedTables: pruned.KeptTables, Skeletons: skels})

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/classifier"
 	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/spider"
@@ -91,6 +93,32 @@ func TestTranslateFreeForm(t *testing.T) {
 	}, &out)
 	if len(out.Skeletons) == 0 || len(out.PrunedTables) == 0 {
 		t.Errorf("retrieval artifacts missing: %+v", out)
+	}
+}
+
+// TestFreeFormRetrievalUnderShippedConfig pins the free-form artifacts
+// under the shipped configuration to what the paper's pruning
+// configuration and a top-3 prediction give: the pipeline's own τp, τn,
+// Steiner switch and TopK equal them there, so serving the pipeline's
+// front half changed no response.
+func TestFreeFormRetrievalUnderShippedConfig(t *testing.T) {
+	c := spider.GenerateSmall(13, 0.05)
+	p := core.New(c.Train.Examples, llm.NewSim(llm.ChatGPT), core.DefaultConfig())
+	srv := httptest.NewServer(New(p, c).Handler())
+	t.Cleanup(srv.Close)
+	paper := classifier.PruneConfig{TauP: 0.5, TauN: 5, UseSteiner: true, TopK1: 4, TopK2: 5}
+	for _, e := range c.Dev.Examples[:min(40, len(c.Dev.Examples))] {
+		for _, q := range []string{e.NL, "How many rows are there?"} {
+			var out TranslateResponse
+			postJSON(t, srv.URL+"/v1/translate", TranslateRequest{Database: e.DB.Name, Question: q}, &out)
+			want := TranslateResponse{PrunedTables: classifier.Prune(p.Classifier(), q, e.DB, paper).KeptTables}
+			for _, pr := range p.Predictor().Predict(q, 3) {
+				want.Skeletons = append(want.Skeletons, pr.Skeleton())
+			}
+			if !reflect.DeepEqual(out, want) {
+				t.Fatalf("%q on %s: got %+v, want %+v", q, e.DB.Name, out, want)
+			}
+		}
 	}
 }
 

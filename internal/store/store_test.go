@@ -30,7 +30,7 @@ func trainedModels(t *testing.T) (*classifier.Model, *predictor.Model, []*spider
 	trainOnce.Do(func() {
 		c := spider.GenerateSmall(7, 0.03)
 		trainEx = c.Train.Examples
-		trainClf = classifier.Train(trainEx)
+		trainClf = classifier.Train(trainEx, classifier.UsedByExample(trainEx))
 		trainPred = predictor.Train(trainEx)
 	})
 	return trainClf, trainPred, trainEx
@@ -107,9 +107,10 @@ func TestSnapshotRoundTripPreservesModels(t *testing.T) {
 		t.Fatalf("schema tables mismatch: %v", got.DB.TableNames())
 	}
 
-	// The restored models must score bit-identically to the originals —
-	// the crash-recovery guarantee of byte-identical translations rests on
-	// this.
+	// The restored models must prune and predict exactly as the originals
+	// do — the crash-recovery guarantee of byte-identical translations
+	// rests on this. (The classifier's reference test holds a round-tripped
+	// model's scores to the bit.)
 	var clf2 classifier.Model
 	if err := clf2.UnmarshalBinary(got.Classifier); err != nil {
 		t.Fatal(err)
@@ -119,9 +120,10 @@ func TestSnapshotRoundTripPreservesModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range ex[:min(50, len(ex))] {
-		a, b := clf.ScoreTables(e.NL, e.DB), clf2.ScoreTables(e.NL, e.DB)
+		cfg := classifier.PruneConfig{TauP: 0.5, TauN: 5, UseSteiner: true, TopK1: 4, TopK2: 5}
+		a, b := classifier.Prune(clf, e.NL, e.DB, cfg), classifier.Prune(&clf2, e.NL, e.DB, cfg)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("classifier diverged on %q: %v vs %v", e.NL, a, b)
+			t.Fatalf("classifier diverged on %q: %v vs %v", e.NL, a.DB.DDL(), b.DB.DDL())
 		}
 		pa, pb := pred.Predict(e.NL, 4), pred2.Predict(e.NL, 4)
 		if len(pa) != len(pb) {
