@@ -1,8 +1,11 @@
 package eval
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/llm"
 	"repro/internal/schema"
 	"repro/internal/spider"
 	"repro/internal/sqlexec"
@@ -93,5 +96,61 @@ func BenchmarkBuildSuite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildSuite(ex.DB, probes, DefaultSuiteConfig())
+	}
+}
+
+var (
+	servedOnce    sync.Once
+	servedTasks   []*spider.Example
+	servedAnswers []string
+
+	// gradeSink keeps the benchmarks' grades live.
+	gradeSink [2]bool
+)
+
+// servedDev translates every dev task of the paper-scale corpus with the
+// pipeline a server builds, once per test process, and returns the tasks
+// and the answers a server serves for them.
+func servedDev() ([]*spider.Example, []string) {
+	servedOnce.Do(func() {
+		c := spider.GenerateSmall(1, 1.0)
+		p := core.New(c.Train.Examples, llm.NewSim(llm.ChatGPT), core.DefaultConfig())
+		servedTasks = c.Dev.Examples
+		servedAnswers = make([]string, len(servedTasks))
+		for i, e := range servedTasks {
+			servedAnswers[i] = p.Translate(e).SQL
+		}
+	})
+	return servedTasks, servedAnswers
+}
+
+// BenchmarkGradeOnce is one served answer graded as ask-cold grades it,
+// on the task's first grade: the gold built, then the answer graded
+// against it. Iterations cycle over the dev tasks in order. Gated in
+// BENCH_executor.txt.
+func BenchmarkGradeOnce(b *testing.B) {
+	tasks, answers := servedDev()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(tasks)
+		gradeSink[0], gradeSink[1] = NewGold(tasks[k].DB, tasks[k].GoldSQL).Grade(answers[k])
+	}
+}
+
+// BenchmarkGradeAgain is one served answer graded as bulk-cold grades it
+// after its first pass: against the task's gold, built before the timer
+// starts. Gated in BENCH_executor.txt.
+func BenchmarkGradeAgain(b *testing.B) {
+	tasks, answers := servedDev()
+	golds := make([]*Gold, len(tasks))
+	for k, e := range tasks {
+		golds[k] = NewGold(e.DB, e.GoldSQL)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(tasks)
+		gradeSink[0], gradeSink[1] = golds[k].Grade(answers[k])
 	}
 }

@@ -227,10 +227,11 @@ func aliasMap(sel *sqlir.Select) map[string]string {
 }
 
 // ExecutionMatch executes both queries on the database and compares results.
-// Row order matters only when the gold query orders its output. The
-// prediction failing to execute never matches (gold always executes).
-// Execution goes through the shared plan cache: the EX metric re-runs the
-// same gold/pred pair across experiments, so compiled plans are hot.
+// Row order matters only when the gold query orders its output, and a
+// query that fails to parse or to execute, gold or prediction, never
+// matches. Execution goes through the shared plan cache. It is the
+// reference form; a caller that grades several predictions against one
+// gold, or one task again and again, builds a Gold instead.
 func ExecutionMatch(db *schema.Database, predSQL, goldSQL string) bool {
 	gres, err := sqlexec.Shared.Exec(db, goldSQL)
 	if err != nil {
@@ -261,7 +262,7 @@ func sameShape(a, b *sqlexec.Result) bool {
 }
 
 // equalsCanonical compares a against gold's precomputed canonical rows —
-// hot loops (suite distillation) canonicalize each gold result once and
+// suite distillation and Gold canonicalize each gold result once and
 // compare many candidates against it.
 func equalsCanonical(a, gold *sqlexec.Result, goldCanon []string) bool {
 	if !sameShape(a, gold) {

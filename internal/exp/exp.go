@@ -19,8 +19,9 @@ import (
 	"repro/internal/sqlir"
 )
 
-// Env is the shared experiment environment: corpus, trained models and
-// distilled test suites, built once and reused across experiments.
+// Env is the shared experiment environment: corpus, trained models,
+// distilled test suites and graded golds, built once and reused across
+// experiments.
 type Env struct {
 	Corpus *spider.Corpus
 	// Used is each training example's used items, the classifier's labels
@@ -29,6 +30,7 @@ type Env struct {
 	Clf    *classifier.Model
 	Pred   *predictor.Model
 	suites map[string]*eval.Suite
+	golds  map[*spider.Example]*eval.Gold
 	seed   int64
 }
 
@@ -44,6 +46,7 @@ func NewEnv(seed int64, scale float64) *Env {
 		Clf:    classifier.Train(c.Train.Examples, used),
 		Pred:   predictor.Train(c.Train.Examples),
 		suites: map[string]*eval.Suite{},
+		golds:  map[*spider.Example]*eval.Gold{},
 		seed:   seed,
 	}
 	return env
@@ -76,6 +79,18 @@ func (env *Env) Suite(b *spider.Benchmark, dbName string) *eval.Suite {
 	s := eval.BuildSuite(db.DB, probes, cfg)
 	env.suites[key] = s
 	return s
+}
+
+// gold lazily builds (and caches) a task's graded gold, so every strategy
+// an experiment runs on the task grades against one parse and one
+// execution of it.
+func (env *Env) gold(e *spider.Example) *eval.Gold {
+	g, ok := env.golds[e]
+	if !ok {
+		g = eval.NewGold(e.DB, e.GoldSQL)
+		env.golds[e] = g
+	}
+	return g
 }
 
 // Scores aggregates metric results for one run.
@@ -129,8 +144,7 @@ func (env *Env) Run(tr core.Translator, b *spider.Benchmark, opts RunOptions) Sc
 		res := results[i]
 		inTok += res.InputTokens
 		outTok += res.OutputTokens
-		okEM := eval.ExactSetMatchSQL(res.SQL, e.GoldSQL)
-		okEX := eval.ExecutionMatch(e.DB, res.SQL, e.GoldSQL)
+		okEM, okEX := env.gold(e).Grade(res.SQL)
 		if okEM {
 			em++
 			hardEM[e.Hardness]++

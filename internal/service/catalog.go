@@ -283,9 +283,10 @@ func (s *Server) translateTenant(w http.ResponseWriter, r *http.Request, t *cata
 	start := time.Now()
 	res := snap.Pipeline.TranslateContext(r.Context(), e)
 	t.RecordTranslate(time.Since(start))
-	em := eval.ExactSetMatchSQL(res.SQL, e.GoldSQL)
+	// The oracle example is built for this request, so its gold is graded
+	// once and dropped.
 	_, esp := trace.StartSpan(r.Context(), "eval.exec_match")
-	ex := eval.ExecutionMatch(snap.DB, res.SQL, e.GoldSQL)
+	em, ex := eval.NewGold(snap.DB, e.GoldSQL).Grade(res.SQL)
 	esp.Finish()
 	resp.SQL = res.SQL
 	resp.Gold = e.GoldSQL

@@ -89,8 +89,8 @@ func (s *Server) jobStatusResponse(st jobs.Status, withResults bool) JobStatusRe
 }
 
 // renderedResults memoizes a finished job's BatchItem list: a finished
-// job's results are immutable, and ExactMatch/ExecutionMatch re-execute
-// SQL, so rendering must happen once per job rather than once per poll.
+// job's results are immutable, and grading executes SQL, so rendering must
+// happen once per job rather than once per poll.
 // resMu is held for the whole render, single-flighting concurrent first
 // polls of the same job (renders are rare — once per finished job — so
 // serializing them is cheaper than racing duplicates).
@@ -104,7 +104,7 @@ func (s *Server) renderedResults(st jobs.Status) []BatchItem {
 	// The job status echoes its own examples, so rendering needs no side
 	// table — benchmark and tenant jobs share one path, and the GC evict
 	// hook (wired in New) keeps this cache aligned with the job table.
-	items := batchItems(st.TaskIDs, st.Examples, st.Results, st.Done)
+	items := s.batchItems(st.TaskIDs, st.Examples, st.Results, st.Done)
 	// Memoize only while the job is still in the manager's table. The evict
 	// hook also takes resMu, so orderings interleave safely: if the GC ran
 	// after this render began, either the Get below already misses, or the

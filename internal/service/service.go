@@ -28,12 +28,17 @@ import (
 const maxBatch = 1024
 
 // Server wires a pipeline and a set of databases into an http.Handler.
-// pipeline, corpus and byDB are fixed in New, so handlers read them
-// without locking.
+// pipeline, dev and byDB are fixed in New, so handlers read them without
+// locking.
 type Server struct {
 	pipeline *core.Pipeline
-	corpus   *spider.Corpus
-	byDB     map[string][]*spider.Example
+	// dev is the split the server serves; it keeps no other split of the
+	// corpus alive.
+	dev  *spider.Benchmark
+	byDB map[string][]*spider.Example
+	// golds has one slot per dev task, whose gold is built once, on the
+	// task's first grade (see gold).
+	golds    []goldSlot
 	fault    *llm.Fault
 	jobs     *jobs.Manager
 	catalog  *catalog.Catalog
@@ -48,8 +53,8 @@ type Server struct {
 	shardID string
 
 	// resMu guards resCache, the memoized rendered results of finished
-	// jobs (ExecutionMatch re-executes SQL, so rendering once per job —
-	// not once per poll — matters).
+	// jobs (grading executes SQL, so rendering once per job — not once per
+	// poll — matters).
 	resMu    sync.Mutex
 	resCache map[string][]BatchItem
 }
@@ -105,14 +110,16 @@ const ShardHeader = "X-NL2SQL-Shard"
 // serves the capture rings. A nil tracer leaves tracing disabled.
 func WithTracer(t *trace.Tracer) Option { return func(s *Server) { s.tracer = t } }
 
-// New builds a server around a constructed pipeline and its corpus. The
-// server owns a metrics registry (see Registry): every route records
-// per-status request counts and a latency histogram, and GET /v1/metrics
-// serves it in Prometheus text format.
+// New builds a server around a constructed pipeline and its corpus, of
+// which it keeps the dev split alone. The server owns a metrics registry
+// (see Registry): every route records per-status request counts and a
+// latency histogram, and GET /v1/metrics serves it in Prometheus text
+// format.
 func New(p *core.Pipeline, c *spider.Corpus, opts ...Option) *Server {
 	reg := metrics.NewRegistry()
 	s := &Server{
-		pipeline: p, corpus: c, byDB: map[string][]*spider.Example{},
+		pipeline: p, dev: c.Dev, byDB: map[string][]*spider.Example{},
+		golds:    make([]goldSlot, len(c.Dev.Examples)),
 		reg:      reg,
 		inflight: reg.Gauge("http_inflight_requests", "HTTP requests currently being served."),
 		workers:  4,
@@ -222,11 +229,11 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) lookupTasks(w http.ResponseWriter, ids []int) ([]*spider.Example, bool) {
 	examples := make([]*spider.Example, 0, len(ids))
 	for _, id := range ids {
-		if id < 0 || id >= len(s.corpus.Dev.Examples) {
+		if id < 0 || id >= len(s.dev.Examples) {
 			http.Error(w, "task_id out of range", http.StatusNotFound)
 			return nil, false
 		}
-		examples = append(examples, s.corpus.Dev.Examples[id])
+		examples = append(examples, s.dev.Examples[id])
 	}
 	return examples, true
 }
@@ -243,7 +250,7 @@ type databaseInfo struct {
 
 func (s *Server) handleDatabases(w http.ResponseWriter, r *http.Request) {
 	var out []databaseInfo
-	for _, db := range s.corpus.Dev.Databases {
+	for _, db := range s.dev.Databases {
 		out = append(out, databaseInfo{Name: db.Name, Tables: db.TableNames(), Source: "benchmark"})
 	}
 	if s.catalog != nil {
@@ -301,15 +308,14 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case req.TaskID != nil:
 		id := *req.TaskID
-		if id < 0 || id >= len(s.corpus.Dev.Examples) {
+		if id < 0 || id >= len(s.dev.Examples) {
 			http.Error(w, "task_id out of range", http.StatusNotFound)
 			return
 		}
-		e := s.corpus.Dev.Examples[id]
+		e := s.dev.Examples[id]
 		res := s.pipeline.TranslateContext(r.Context(), e)
-		em := eval.ExactSetMatchSQL(res.SQL, e.GoldSQL)
 		_, esp := trace.StartSpan(r.Context(), "eval.exec_match")
-		ex := eval.ExecutionMatch(e.DB, res.SQL, e.GoldSQL)
+		em, ex := s.gold(id, e).Grade(res.SQL)
 		esp.Finish()
 		writeJSON(w, TranslateResponse{
 			SQL: res.SQL, Gold: e.GoldSQL,
@@ -397,7 +403,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, BatchResponse{
-		Results:      batchItems(in.ids, in.examples, results, nil),
+		Results:      s.batchItems(in.ids, in.examples, results, nil),
 		Completed:    stats.Completed,
 		InputTokens:  stats.InputTokens,
 		OutputTokens: stats.OutputTokens,
@@ -457,9 +463,10 @@ func (s *Server) resolveBatch(w http.ResponseWriter, r *http.Request, taskIDs []
 }
 
 // batchItems grades translations against their tasks' gold SQL, in input
-// order. ids label the items (nil labels by position); done, when non-nil,
-// marks the slots a cancelled job translated before it stopped.
-func batchItems(ids []int, examples []*spider.Example, results []core.Translation, done []bool) []BatchItem {
+// order. ids label the items (nil labels by position, a tenant's
+// questions); done, when non-nil, marks the slots a cancelled job
+// translated before it stopped.
+func (s *Server) batchItems(ids []int, examples []*spider.Example, results []core.Translation, done []bool) []BatchItem {
 	var items []BatchItem
 	for i, res := range results {
 		if i < len(done) && !done[i] || i >= len(examples) {
@@ -470,16 +477,36 @@ func batchItems(ids []int, examples []*spider.Example, results []core.Translatio
 			taskID = ids[i]
 		}
 		e := examples[i]
+		em, ex := s.gold(taskID, e).Grade(res.SQL)
 		items = append(items, BatchItem{
 			TaskID:     taskID,
 			SQL:        res.SQL,
 			Gold:       e.GoldSQL,
-			ExactMatch: eval.ExactSetMatchSQL(res.SQL, e.GoldSQL),
-			ExecMatch:  eval.ExecutionMatch(e.DB, res.SQL, e.GoldSQL),
+			ExactMatch: em,
+			ExecMatch:  ex,
 			DemosUsed:  res.DemosUsed,
 		})
 	}
 	return items
+}
+
+// goldSlot holds one dev task's gold once built.
+type goldSlot struct {
+	once sync.Once
+	gold *eval.Gold
+}
+
+// gold returns the gold to grade a translation of e, labelled id. When e
+// is dev task id it is the task's gold, built on its first grade and kept
+// for the server's life; any other example (a tenant's question) gets a
+// gold built for this grade alone, so no gold outlives its tenant snapshot.
+func (s *Server) gold(id int, e *spider.Example) *eval.Gold {
+	if id < 0 || id >= len(s.golds) || s.dev.Examples[id] != e {
+		return eval.NewGold(e.DB, e.GoldSQL)
+	}
+	slot := &s.golds[id]
+	slot.once.Do(func() { slot.gold = eval.NewGold(e.DB, e.GoldSQL) })
+	return slot.gold
 }
 
 // ExecuteRequest runs read-only SQL against a benchmark database.

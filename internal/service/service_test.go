@@ -6,11 +6,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/classifier"
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/llm"
 	"repro/internal/spider"
 	"repro/internal/sqlexec"
@@ -380,4 +384,76 @@ func outOfRangeIDs(n int) []int {
 		ids[i] = 999999
 	}
 	return ids
+}
+
+// TestServerKeepsOnlyTheDevSplit: the server holds the dev split alone, so
+// once the caller drops the corpus, its other splits (the training examples
+// the pipeline was built from, DK, Syn and Realistic) are collected.
+func TestServerKeepsOnlyTheDevSplit(t *testing.T) {
+	c := spider.GenerateSmall(13, 0.05)
+	p := core.New(c.Train.Examples, llm.NewSim(llm.ChatGPT), core.DefaultConfig())
+	train, example, dk := weak.Make(c.Train), weak.Make(c.Train.Examples[0]), weak.Make(c.DK)
+	s := New(p, c)
+	c = nil
+	runtime.GC()
+	if train.Value() != nil || example.Value() != nil || dk.Value() != nil {
+		t.Error("the server keeps a split it does not serve")
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestConcurrentGradesMatchReference: batches and single translations of
+// the same dev tasks, sent at once, build each task's gold once between
+// them and grade every answer as the reference metrics do.
+func TestConcurrentGradesMatchReference(t *testing.T) {
+	srv, c := testServer(t)
+	dev := c.Dev.Examples
+	ids := make([]int, len(dev))
+	for i := range ids {
+		ids[i] = i
+	}
+	post := func(path string, body, out any) bool {
+		data, _ := json.Marshal(body)
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Errorf("%s: %v", path, err)
+			return false
+		}
+		return true
+	}
+	check := func(id int, sql string, em, ex bool) {
+		e := dev[id]
+		if em != eval.ExactSetMatchSQL(sql, e.GoldSQL) || ex != eval.ExecutionMatch(e.DB, sql, e.GoldSQL) {
+			t.Errorf("task %d: graded (%v, %v), not as the reference grades %q", id, em, ex, sql)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			var out BatchResponse
+			if post("/v1/batch", BatchRequest{TaskIDs: ids, Workers: 2}, &out) {
+				for _, item := range out.Results {
+					check(item.TaskID, item.SQL, item.ExactMatch, item.ExecMatch)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := range ids {
+				id := ids[len(ids)-1-i]
+				var out TranslateResponse
+				if post("/v1/translate", TranslateRequest{TaskID: &id}, &out) {
+					check(id, out.SQL, *out.ExactMatch, *out.ExecMatch)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -102,8 +102,10 @@ func NewPlanCache(capacity int) *PlanCache {
 }
 
 // Shared is the process-wide plan cache used by the repeat-execution call
-// sites: the EX/TS metrics in internal/eval and the service's /execute
-// endpoint. Its counters are exported on /v1/metrics as
+// sites: eval.ExecutionMatch and the TS metric, and the service's /execute
+// endpoint for benchmark databases. Served answers are graded through
+// eval.Gold, which executes with Exec, so grading moves none of its
+// counters. They are exported on /v1/metrics as
 // plan_cache_*{cache="shared"}.
 var Shared = NewPlanCache(512)
 
