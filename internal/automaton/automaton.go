@@ -6,10 +6,6 @@
 // precision for generalization and fuzzification.
 package automaton
 
-import (
-	"strings"
-)
-
 // Level identifies an abstraction level, 1 (finest) through 4 (coarsest).
 type Level int
 
@@ -41,47 +37,37 @@ var clauseKeep = map[string]bool{
 	"HAVING": true, "ORDER BY": true, "LIMIT": true, "<IUE>": true,
 }
 
+// state abstracts one Detail-Level skeleton token (from sqlir.Skeleton) to
+// its state at level; ok is false when the level drops the token.
+func state(t string, level Level) (s string, ok bool) {
+	if level == Detail {
+		return t, true
+	}
+	if t == "_" || t == "(" || t == ")" {
+		return "", false
+	}
+	if level == Keywords {
+		return t, true
+	}
+	if c, isOp := structureClass[t]; isOp {
+		t = c
+	}
+	if level == Clause && !clauseKeep[t] {
+		return "", false
+	}
+	return t, true
+}
+
 // Abstract rewrites Detail-Level skeleton tokens (from sqlir.Skeleton) into
 // the state sequence of the given level.
 func Abstract(tokens []string, level Level) []string {
-	switch level {
-	case Detail:
-		return append([]string(nil), tokens...)
-	case Keywords:
-		var out []string
-		for _, t := range tokens {
-			if t == "_" || t == "(" || t == ")" {
-				continue
-			}
-			out = append(out, t)
+	var out []string
+	for _, t := range tokens {
+		if s, ok := state(t, level); ok {
+			out = append(out, s)
 		}
-		return out
-	case Structure:
-		var out []string
-		for _, t := range Abstract(tokens, Keywords) {
-			if c, ok := structureClass[t]; ok {
-				out = append(out, c)
-			} else {
-				out = append(out, t)
-			}
-		}
-		return out
-	case Clause:
-		var out []string
-		for _, t := range Abstract(tokens, Structure) {
-			if clauseKeep[t] {
-				out = append(out, t)
-			}
-		}
-		return out
 	}
-	return nil
-}
-
-// Key renders a state sequence as the automaton path key, bracketed by the
-// <START> and <END> states.
-func Key(states []string) string {
-	return "<START> " + strings.Join(states, " ") + " <END>"
+	return out
 }
 
 // Automaton indexes demonstrations by their abstracted state sequence at one
@@ -98,43 +84,69 @@ type Automaton struct {
 	vocab map[string]bool
 }
 
+// appendKey appends to dst the path key of tokens' states at a's level:
+// <START>, each state in a's vocabulary, and <END>, separated by single
+// spaces ("<START>  <END>" when no state is kept). Build and Match both
+// write keys here, so the two cannot disagree.
+func (a *Automaton) appendKey(dst []byte, tokens []string) []byte {
+	dst = append(dst, "<START> "...)
+	kept := 0
+	for _, t := range tokens {
+		s, ok := state(t, a.Level)
+		if !ok || !a.vocab[s] {
+			continue
+		}
+		if kept > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, s...)
+		kept++
+	}
+	return append(dst, " <END>"...)
+}
+
 // Build constructs the automaton for one level from the Detail-Level
 // skeleton token sequences of all demonstrations.
 func Build(level Level, demoSkeletons [][]string) *Automaton {
 	a := &Automaton{Level: level, ends: map[string][]int{}, vocab: map[string]bool{}}
+	var key []byte
 	for idx, toks := range demoSkeletons {
-		states := Abstract(toks, level)
-		for _, s := range states {
-			a.vocab[s] = true
+		for _, t := range toks {
+			if s, ok := state(t, level); ok {
+				a.vocab[s] = true
+			}
 		}
-		k := Key(states)
-		a.ends[k] = append(a.ends[k], idx)
+		key = a.appendKey(key[:0], toks)
+		a.ends[string(key)] = append(a.ends[string(key)], idx)
 	}
 	return a
 }
 
+// matchKeySize is the size of Match's stack buffer for a path key. The
+// longest Detail-Level key of the paper-scale corpus's training and dev
+// skeletons is 111 bytes; a longer key costs Match one allocation.
+const matchKeySize = 256
+
 // Match returns the demonstration indexes whose state sequence at this level
 // is identical to the predicted skeleton's. Out-of-vocabulary states are
-// dropped from the prediction first. A nil slice means no match.
+// dropped from the prediction first. A nil slice means no match. Match
+// allocates nothing for a key that fits matchKeySize bytes.
 func (a *Automaton) Match(predTokens []string) []int {
-	states := Abstract(predTokens, a.Level)
-	kept := states[:0:0]
-	for _, s := range states {
-		if a.vocab[s] {
-			kept = append(kept, s)
-		}
-	}
-	return a.ends[Key(kept)]
+	var buf [matchKeySize]byte
+	return a.ends[string(a.appendKey(buf[:0], predTokens))]
 }
 
 // Hierarchy is the four-level automaton set used by demonstration selection.
 type Hierarchy struct {
 	Levels [NumLevels]*Automaton
+	// Demos is the number of demonstrations indexed; every index a level
+	// matches is below it.
+	Demos int
 }
 
 // BuildHierarchy constructs all four automatons from demonstration skeletons.
 func BuildHierarchy(demoSkeletons [][]string) *Hierarchy {
-	h := &Hierarchy{}
+	h := &Hierarchy{Demos: len(demoSkeletons)}
 	for l := Detail; l <= Clause; l++ {
 		h.Levels[l-1] = Build(l, demoSkeletons)
 	}

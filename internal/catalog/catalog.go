@@ -20,9 +20,9 @@
 // shard already trained on its own corpus — is published immediately. The
 // expensive artifacts (tenant-trained classifier and predictor) build
 // asynchronously through the jobs machinery; when the build lands the
-// snapshot swaps to *ready*. Re-registration bumps the version,
-// invalidates the retired fingerprint's plans in the shared sqlexec cache,
-// and discards any in-flight build for the old version.
+// snapshot swaps to *ready*. Re-registration bumps the version and
+// discards any in-flight build for the old version; the retired snapshot's
+// plan cache goes with it.
 package catalog
 
 import (
@@ -232,12 +232,6 @@ type Catalog struct {
 	builds    *jobs.Manager
 	ownsBuild bool
 
-	// fpRefs counts tenants holding each schema fingerprint. Deregistering
-	// or evicting a tenant invalidates the shared plan cache only when the
-	// last holder of the fingerprint leaves — content-addressed fingerprints
-	// mean same-schema tenants (loadgen clones, template tenants) share
-	// compiled plans, and one tenant's departure must not nuke them.
-	fpRefs map[uint64]int
 	// residentBytes sums storeBytes over tenants whose snapshot is loaded
 	// (state != stored); the memory budget bounds it.
 	residentBytes int64
@@ -267,7 +261,6 @@ func New(cfg Config) (*Catalog, error) {
 	}
 	empty := tenantMap{}
 	c.tenants.Store(&empty)
-	c.fpRefs = map[uint64]int{}
 	if cfg.Jobs != nil {
 		c.builds = cfg.Jobs
 	} else {
@@ -327,9 +320,9 @@ func (c *Catalog) Register(reg Registration) (*Snapshot, error) {
 }
 
 // Reregister registers a database, replacing any existing tenant of the
-// same name: the version bumps, the retired schema fingerprint's plans are
-// invalidated in the shared sqlexec cache, and the snapshot swaps without
-// dropping in-flight requests (they finish against the old snapshot).
+// same name: the version bumps and the snapshot, its plan cache included,
+// swaps without dropping in-flight requests (they finish against the old
+// snapshot).
 func (c *Catalog) Reregister(reg Registration) (*Snapshot, error) {
 	return c.register(reg, true)
 }
@@ -402,20 +395,11 @@ func (c *Catalog) register(reg Registration, replace bool) (*Snapshot, error) {
 	t.gen.Store(gen)
 
 	if old != nil {
-		oldSnap := old.Snapshot()
-		if oldSnap.Fingerprint != warming.Fingerprint {
-			// The retired schema version's plans go from the shared cache —
-			// but only if this tenant was its last holder; same-schema
-			// tenants keep theirs.
-			c.acquireFPLocked(warming.Fingerprint)
-			c.releaseFPLocked(oldSnap.Fingerprint)
-		}
-		if oldSnap.State != StateStored {
+		if old.Snapshot().State != StateStored {
 			c.residentBytes -= t.storeBytes.Load()
 		}
 		c.counters.Reregistered++
 	} else {
-		c.acquireFPLocked(warming.Fingerprint)
 		c.counters.Registered++
 	}
 	if c.cfg.Store != nil {
@@ -460,7 +444,7 @@ func (c *Catalog) buildFn(t *Tenant, gen int64, warming *Snapshot) func(context.
 		}
 		ready := *warming
 		ready.State = StateReady
-		ready.Pipeline = core.NewWithModels(warming.Demos, used, warming.Cache, c.cfg.Base.Config(), clf, pred)
+		ready.Pipeline = warming.Pipeline.WithModels(clf, pred)
 		ready.Built = c.now()
 
 		c.mu.Lock()
@@ -527,9 +511,8 @@ func (c *Catalog) buildFailed(err error) error {
 	return err
 }
 
-// Deregister removes a tenant durably: its persisted snapshot is deleted,
-// the removal is WAL-logged, and its plans leave the shared cache when no
-// other tenant holds the same schema fingerprint.
+// Deregister removes a tenant durably: its persisted snapshot is deleted
+// and the removal is WAL-logged.
 func (c *Catalog) Deregister(name string) error {
 	key := strings.ToLower(name)
 	c.mu.Lock()
@@ -544,29 +527,14 @@ func (c *Catalog) Deregister(name string) error {
 	return nil
 }
 
-// acquireFPLocked / releaseFPLocked maintain the per-fingerprint holder
-// count. Release invalidates the shared plan cache only when the last
-// holder leaves. Callers hold c.mu.
-func (c *Catalog) acquireFPLocked(fp uint64) { c.fpRefs[fp]++ }
-
-func (c *Catalog) releaseFPLocked(fp uint64) {
-	if c.fpRefs[fp] > 1 {
-		c.fpRefs[fp]--
-		return
-	}
-	delete(c.fpRefs, fp)
-	sqlexec.Shared.InvalidateFingerprint(fp)
-}
-
 // retireTenantLocked performs the bookkeeping shared by every removal path
 // (deregister, cap eviction, idle eviction, corrupt-load drop): retire any
-// in-flight build via the generation bump, release the fingerprint, log
-// the removal and delete the persisted snapshot. The caller removes the
-// tenant from the map and bumps its own counter. Callers hold c.mu.
+// in-flight build via the generation bump, log the removal and delete the
+// persisted snapshot. The caller removes the tenant from the map and bumps
+// its own counter. Callers hold c.mu.
 func (c *Catalog) retireTenantLocked(t *Tenant, op store.Op) {
 	t.gen.Add(1)
 	s := t.snap.Load()
-	c.releaseFPLocked(s.Fingerprint)
 	if s.State != StateStored {
 		c.residentBytes -= t.storeBytes.Load()
 		if c.residentBytes < 0 {

@@ -8,12 +8,12 @@ import (
 	"time"
 
 	"repro/internal/benchfix"
+	"repro/internal/classifier"
 	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/llm"
 	"repro/internal/schema"
 	"repro/internal/spider"
-	"repro/internal/sqlexec"
 )
 
 // Shared test substrate: the base pipeline, built once over a small corpus
@@ -165,26 +165,6 @@ func TestRegisterDuplicateAndReregister(t *testing.T) {
 	}
 }
 
-func TestReregisterInvalidatesSharedPlans(t *testing.T) {
-	c := newTestCatalog(t, testConfig())
-	db := shopDB("plans")
-	if _, err := c.Register(Registration{DB: db, Demos: shopDemos()}); err != nil {
-		t.Fatal(err)
-	}
-	// Seed the shared cache with a plan keyed by the v1 fingerprint (the
-	// eval/adaption paths do this during translation).
-	if _, err := sqlexec.Shared.Exec(db, "SELECT COUNT(*) FROM item"); err != nil {
-		t.Fatal(err)
-	}
-	before := sqlexec.Shared.Stats().Size
-	if _, err := c.Reregister(Registration{DB: shopDB("plans", "color"), Demos: shopDemos()}); err != nil {
-		t.Fatal(err)
-	}
-	if after := sqlexec.Shared.Stats().Size; after >= before {
-		t.Errorf("shared plan cache size %d -> %d; expected the retired fingerprint's plans to be invalidated", before, after)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	c := newTestCatalog(t, testConfig())
 	cases := []struct {
@@ -222,6 +202,30 @@ func TestValidation(t *testing.T) {
 	}
 	if err := ValidateDatabase(shopDB("ok")); err != nil {
 		t.Errorf("valid db rejected: %v", err)
+	}
+}
+
+// TestReadyPipelineMatchesFreshBuild: a build's ready pipeline shares the
+// warming pipeline's rendered demonstrations and automaton hierarchy, and
+// swaps in the tenant's own models. It must translate every tenant-fixture
+// question exactly as a pipeline built afresh over the tenant's
+// demonstrations with those models.
+func TestReadyPipelineMatchesFreshBuild(t *testing.T) {
+	cfg := testConfig()
+	c := newTestCatalog(t, cfg)
+	if _, err := c.Register(Registration{DB: shopDB("fresh"), Demos: shopDemos()}); err != nil {
+		t.Fatal(err)
+	}
+	ready := waitReady(t, c, "fresh")
+	clf, pred := ready.Pipeline.Classifier(), ready.Pipeline.Predictor()
+	if clf == cfg.Base.Classifier() || pred == cfg.Base.Predictor() {
+		t.Fatal("the ready pipeline runs on the base models")
+	}
+	fresh := core.NewWithModels(ready.Demos, classifier.UsedByExample(ready.Demos), llm.NewSim(llm.ChatGPT), cfg.Base.Config(), clf, pred)
+	for _, e := range ready.Demos {
+		if got, want := ready.Pipeline.Translate(e), fresh.Translate(e); got != want {
+			t.Errorf("%q: ready pipeline %+v, fresh build %+v", e.NL, got, want)
+		}
 	}
 }
 

@@ -45,7 +45,6 @@ func (c *Catalog) recoverFromStore() {
 		}
 		t.publish(stub)
 		m[r.Key] = t
-		c.acquireFPLocked(r.Fingerprint)
 	}
 	c.tenants.Store(&m)
 	// A cap lowered across the restart is enforced immediately (and
@@ -99,7 +98,6 @@ func (c *Catalog) AdoptStored(name string) (*Snapshot, error) {
 		Registered:  c.now(),
 	}
 	t.publish(stub)
-	c.acquireFPLocked(fp)
 	// The snapshot file already exists (the previous owner wrote it), so
 	// appending the register record directly keeps the store invariant that
 	// recovery only trusts records whose snapshot landed first. Built

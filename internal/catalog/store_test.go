@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/sqlexec"
 	"repro/internal/store"
 )
 
@@ -240,50 +239,6 @@ func TestRestartRecoversUnbuiltTenantAndRebuilds(t *testing.T) {
 	}
 }
 
-// TestSharedPlanRefcount is the regression for the cross-tenant
-// invalidation bug: two tenants registering the same schema content share
-// a fingerprint (content-addressed), so deregistering one must not nuke
-// the other's compiled plans in the shared cache.
-func TestSharedPlanRefcount(t *testing.T) {
-	c := newTestCatalog(t, testConfig())
-	dbA, dbB := shopDB("fpa"), shopDB("fpb")
-	if dbA.Fingerprint() != dbB.Fingerprint() {
-		t.Fatal("premise: same-content databases must share a fingerprint")
-	}
-	if _, err := c.Register(Registration{DB: dbA, Demos: shopDemos()}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Register(Registration{DB: dbB, Demos: shopDemos()}); err != nil {
-		t.Fatal(err)
-	}
-	const q = "SELECT COUNT(*) FROM item WHERE price > 1"
-	if _, err := sqlexec.Shared.Exec(dbA, q); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := c.Deregister("fpb"); err != nil {
-		t.Fatal(err)
-	}
-	hits := sqlexec.Shared.Stats().Hits
-	if _, err := sqlexec.Shared.Exec(dbA, q); err != nil {
-		t.Fatal(err)
-	}
-	if got := sqlexec.Shared.Stats().Hits; got != hits+1 {
-		t.Fatalf("plan for the surviving same-schema tenant was invalidated (hits %d -> %d)", hits, got)
-	}
-
-	if err := c.Deregister("fpa"); err != nil {
-		t.Fatal(err)
-	}
-	misses := sqlexec.Shared.Stats().Misses
-	if _, err := sqlexec.Shared.Exec(dbA, q); err != nil {
-		t.Fatal(err)
-	}
-	if got := sqlexec.Shared.Stats().Misses; got != misses+1 {
-		t.Fatalf("last holder's deregistration did not invalidate (misses %d -> %d)", misses, got)
-	}
-}
-
 // TestWarmingExemptFromIdleEviction is the regression for the
 // warming-eviction bug: a tenant whose build waits in the queue longer
 // than IdleTTL must survive the janitor, and its completed build must
@@ -361,10 +316,6 @@ func TestLifecycleWarmingReadyEvictReregister(t *testing.T) {
 		t.Fatalf("after register: %+v", ss)
 	}
 	release()
-	const q = "SELECT label FROM item WHERE price < 100"
-	if _, err := sqlexec.Shared.Exec(db, q); err != nil {
-		t.Fatal(err)
-	}
 
 	// Step 2: ready -> models persisted, WAL 'built' record.
 	waitReady(t, c, "life")
@@ -374,7 +325,7 @@ func TestLifecycleWarmingReadyEvictReregister(t *testing.T) {
 
 	// Step 3: cap eviction (a second registration over MaxTenants=1)
 	// removes the tenant durably: snapshot file deleted, WAL eviction
-	// logged, shared plans invalidated (last holder of the fingerprint).
+	// logged.
 	if _, err := c.Register(Registration{DB: shopDB("usurper", "extra"), Demos: shopDemos()}); err != nil {
 		t.Fatal(err)
 	}
@@ -386,13 +337,6 @@ func TestLifecycleWarmingReadyEvictReregister(t *testing.T) {
 	}
 	if cs := c.Stats(); cs.Evicted != 1 {
 		t.Fatalf("evicted = %d, want 1", cs.Evicted)
-	}
-	misses := sqlexec.Shared.Stats().Misses
-	if _, err := sqlexec.Shared.Exec(db, q); err != nil {
-		t.Fatal(err)
-	}
-	if got := sqlexec.Shared.Stats().Misses; got != misses+1 {
-		t.Fatal("eviction did not invalidate the retired tenant's shared plans")
 	}
 
 	// Step 4: re-register starts a fresh version-1 life with its own

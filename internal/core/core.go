@@ -147,6 +147,16 @@ func NewWithModels(train []*spider.Example, used []classifier.Used, client llm.C
 	return p
 }
 
+// WithModels returns a pipeline that runs with clf and pred in place of
+// p's models. It shares p's configuration, client, rendered
+// demonstrations, fill pool and automaton hierarchy, so it renders and
+// indexes nothing.
+func (p *Pipeline) WithModels(clf *classifier.Model, pred *predictor.Model) *Pipeline {
+	q := *p
+	q.clf, q.pred = clf, pred
+	return &q
+}
+
 // RenderDemo renders a training example as its prompt demonstration: its
 // schema pruned to the tables and columns its gold SQL uses (used, from
 // classifier.UsedItems), its question and its gold SQL. The pruned schema

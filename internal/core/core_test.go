@@ -11,6 +11,7 @@ import (
 	"repro/internal/classifier"
 	"repro/internal/eval"
 	"repro/internal/llm"
+	"repro/internal/predictor"
 	"repro/internal/prompt"
 	"repro/internal/spider"
 	"repro/internal/trace"
@@ -179,6 +180,21 @@ func TestAccessors(t *testing.T) {
 	}
 	if p.Name() == "" {
 		t.Error("empty name")
+	}
+}
+
+// TestWithModelsSharesRetrievalState: WithModels swaps the models and
+// shares the receiver's rendered demonstrations, fill pool and hierarchy.
+func TestWithModelsSharesRetrievalState(t *testing.T) {
+	p, c := pipelineFixture(t, DefaultConfig())
+	sub := c.Train.Examples[:len(c.Train.Examples)/2]
+	clf, pred := classifier.Train(sub, classifier.UsedByExample(sub)), predictor.Train(sub)
+	q := p.WithModels(clf, pred)
+	if q.clf != clf || q.pred != pred || p.clf == clf || p.pred == pred {
+		t.Fatal("WithModels did not swap the models on a copy")
+	}
+	if &q.demos[0] != &p.demos[0] || &q.allIdx[0] != &p.allIdx[0] || q.hier != p.hier || q.client != p.client {
+		t.Error("WithModels did not share the rendered demonstrations, fill pool, hierarchy and client")
 	}
 }
 

@@ -170,6 +170,10 @@ func (c *Cache) Stats() CacheStats {
 // Task oracle fields are part of the key because the Sim grades the prompt
 // against the hidden gold and corrupts SQL against the task's database; two
 // tasks sharing a prompt but differing in gold or database must not collide.
+// The prompt's blocks are hashed in order, which is the FNV-1a of the
+// prompt text: the key does not depend on where the blocks split it.
+// The conversions to []byte do not allocate: fnv.New64a's writer is
+// known here and keeps nothing.
 func (c *Cache) requestKey(req Request) uint64 {
 	h := fnv.New64a()
 	write := func(parts ...string) {
@@ -178,8 +182,12 @@ func (c *Cache) requestKey(req Request) uint64 {
 			h.Write([]byte{0})
 		}
 	}
-	write(c.inner.Name(), req.Prompt,
-		strconv.Itoa(req.N),
+	write(c.inner.Name())
+	for _, b := range req.Prompt {
+		h.Write([]byte(b))
+	}
+	h.Write([]byte{0})
+	write(strconv.Itoa(req.N),
 		strconv.FormatBool(req.CoT),
 		strconv.FormatBool(req.Calibrated),
 		strconv.FormatInt(req.Seed, 10))

@@ -2,12 +2,16 @@ package llm
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/prompt"
 	"repro/internal/schema"
 	"repro/internal/spider"
 )
@@ -29,7 +33,7 @@ func (c *countingClient) Complete(req Request) Response {
 	return Response{SQLs: []string{fmt.Sprintf("SELECT %d", req.Seed)}, InputTokens: 1, OutputTokens: 1}
 }
 
-func req(seed int64) Request { return Request{Prompt: "p", N: 3, Seed: seed} }
+func req(seed int64) Request { return Request{Prompt: prompt.Text{"p"}, N: 3, Seed: seed} }
 
 func TestCacheHitMissCounters(t *testing.T) {
 	inner := &countingClient{}
@@ -55,16 +59,16 @@ func TestCacheHitMissCounters(t *testing.T) {
 func TestCacheKeyDiscriminates(t *testing.T) {
 	inner := &countingClient{}
 	c := NewCache(inner, 256)
-	base := Request{Prompt: "p", N: 3, Seed: 1}
+	base := Request{Prompt: prompt.Text{"p"}, N: 3, Seed: 1}
 	variants := []Request{
-		{Prompt: "q", N: 3, Seed: 1},
-		{Prompt: "p", N: 4, Seed: 1},
-		{Prompt: "p", N: 3, Seed: 2},
-		{Prompt: "p", N: 3, Seed: 1, CoT: true},
-		{Prompt: "p", N: 3, Seed: 1, Calibrated: true},
-		{Prompt: "p", N: 3, Seed: 1, Task: &spider.Example{ID: 7, GoldSQL: "SELECT 1"}},
-		{Prompt: "p", N: 3, Seed: 1, Task: &spider.Example{ID: 7, GoldSQL: "SELECT 1", DB: &schema.Database{Name: "concert_singer"}}},
-		{Prompt: "p", N: 3, Seed: 1, Task: &spider.Example{ID: 7, GoldSQL: "SELECT 1", DB: &schema.Database{Name: "pets_1"}}},
+		{Prompt: prompt.Text{"q"}, N: 3, Seed: 1},
+		{Prompt: prompt.Text{"p"}, N: 4, Seed: 1},
+		{Prompt: prompt.Text{"p"}, N: 3, Seed: 2},
+		{Prompt: prompt.Text{"p"}, N: 3, Seed: 1, CoT: true},
+		{Prompt: prompt.Text{"p"}, N: 3, Seed: 1, Calibrated: true},
+		{Prompt: prompt.Text{"p"}, N: 3, Seed: 1, Task: &spider.Example{ID: 7, GoldSQL: "SELECT 1"}},
+		{Prompt: prompt.Text{"p"}, N: 3, Seed: 1, Task: &spider.Example{ID: 7, GoldSQL: "SELECT 1", DB: &schema.Database{Name: "concert_singer"}}},
+		{Prompt: prompt.Text{"p"}, N: 3, Seed: 1, Task: &spider.Example{ID: 7, GoldSQL: "SELECT 1", DB: &schema.Database{Name: "pets_1"}}},
 	}
 	c.Complete(base)
 	for _, v := range variants {
@@ -72,6 +76,54 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 	if got := c.Stats().Misses; got != int64(1+len(variants)) {
 		t.Errorf("every variant must miss: %d misses for %d distinct requests", got, 1+len(variants))
+	}
+}
+
+// refRequestKey is requestKey as it was, over the joined prompt text with
+// hash/fnv.
+func refRequestKey(name string, req Request) uint64 {
+	h := fnv.New64a()
+	write := func(parts ...string) {
+		for _, p := range parts {
+			h.Write([]byte(p))
+			h.Write([]byte{0})
+		}
+	}
+	write(name, strings.Join(req.Prompt, ""),
+		strconv.Itoa(req.N),
+		strconv.FormatBool(req.CoT),
+		strconv.FormatBool(req.Calibrated),
+		strconv.FormatInt(req.Seed, 10))
+	if req.Task != nil {
+		write(strconv.Itoa(req.Task.ID), req.Task.Variant, req.Task.NL,
+			req.Task.GoldSQL, string(req.Task.Class),
+			strconv.FormatFloat(req.Task.LinkNoise, 'g', -1, 64))
+		if req.Task.DB != nil {
+			write(req.Task.DB.Name)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestCacheKeyIgnoresBlockSplit: a prompt's key is that of its text, so
+// Text{a, b} and Text{a + b} share it, and it is the key the joined text
+// had, whatever the request's other fields.
+func TestCacheKeyIgnoresBlockSplit(t *testing.T) {
+	c := NewCache(&countingClient{}, 64)
+	task := &spider.Example{ID: 7, Variant: "dk", NL: "q", GoldSQL: "SELECT 1", Class: "simple", LinkNoise: 0.25, DB: &schema.Database{Name: "pets_1"}}
+	for _, r := range []Request{
+		{Prompt: prompt.Text{"### Example\nSQL: SELECT a\n\n", "### Task\nQ: q\nSQL:"}, N: 30, Seed: 9},
+		{Prompt: prompt.Text{"-- inst\n", "", "### Task\nSQL:"}, N: 1, CoT: true, Calibrated: true, Seed: -4, Task: task},
+		{Prompt: nil, N: 3, Task: &spider.Example{ID: 2}},
+	} {
+		joined := r
+		joined.Prompt = prompt.Text{strings.Join(r.Prompt, "")}
+		if got, one := c.requestKey(r), c.requestKey(joined); got != one {
+			t.Errorf("%q: key %x, joined into one block %x", r.Prompt, got, one)
+		}
+		if got, want := c.requestKey(r), refRequestKey("counting", r); got != want {
+			t.Errorf("%q: key %x, reference %x", r.Prompt, got, want)
+		}
 	}
 }
 
@@ -181,7 +233,7 @@ func TestCachedSimIsTransparent(t *testing.T) {
 	sim := NewSim(ChatGPT)
 	c := NewCache(NewSim(ChatGPT), 64)
 	for seed := int64(0); seed < 20; seed++ {
-		r := Request{Prompt: "SELECT demo", N: 5, Seed: seed}
+		r := Request{Prompt: prompt.Text{"SELECT demo"}, N: 5, Seed: seed}
 		want := sim.Complete(r)
 		cold := c.Complete(r)
 		hot := c.Complete(r)
@@ -190,7 +242,7 @@ func TestCachedSimIsTransparent(t *testing.T) {
 		}
 	}
 	// Mutating a returned response must not poison the cache.
-	r := Request{Prompt: "SELECT demo", N: 2, Seed: 99}
+	r := Request{Prompt: prompt.Text{"SELECT demo"}, N: 2, Seed: 99}
 	first := c.Complete(r)
 	first.SQLs[0] = "CORRUPTED"
 	second := c.Complete(r)

@@ -19,13 +19,16 @@ package llm
 import (
 	"context"
 
+	"repro/internal/prompt"
 	"repro/internal/spider"
 )
 
 // Request is one LLM call.
 type Request struct {
-	// Prompt is the full prompt text (instructions + demonstrations + task).
-	Prompt string
+	// Prompt is the full prompt (instructions + demonstrations + task), as
+	// the blocks prompt.Build assembled; the prompt text is their
+	// concatenation.
+	Prompt prompt.Text
 	// N is the number of sampled completions (the consistency number).
 	N int
 	// Task is the hidden oracle channel carrying the current example; see

@@ -29,7 +29,7 @@ func taskOfClass(t *testing.T, c *spider.Corpus, class spider.CompositionClass) 
 func corpus() *spider.Corpus { return spider.GenerateSmall(21, 0.08) }
 
 // buildPrompt renders a minimal prompt, optionally embedding demo SQLs.
-func buildPrompt(e *spider.Example, demoSQLs ...string) string {
+func buildPrompt(e *spider.Example, demoSQLs ...string) prompt.Text {
 	var demos []prompt.Demo
 	for _, sql := range demoSQLs {
 		demos = append(demos, prompt.NewDemo(e.DB, "demo question", sql))
@@ -177,7 +177,7 @@ func TestTokenAccounting(t *testing.T) {
 	sim := NewSim(ChatGPT)
 	p := buildPrompt(e)
 	resp := sim.Complete(Request{Prompt: p, N: 3, Task: e, Seed: 7})
-	if resp.InputTokens != prompt.Tokens(p) {
+	if resp.InputTokens != prompt.Tokens(strings.Join(p, "")) {
 		t.Error("input token accounting wrong")
 	}
 	if resp.OutputTokens <= 0 || len(resp.SQLs) != 3 {
@@ -263,7 +263,7 @@ func TestSurfaceDriftPreservesExecution(t *testing.T) {
 
 // TestGradeMemoClearsWhenFull fills a Sim's grade memo past its size: it
 // must hold at most gradeMemoSize entries, none of them pointing into a
-// prompt, and grading after the clear must be unchanged.
+// block of a prompt, and grading after the clear must be unchanged.
 func TestGradeMemoClearsWhenFull(t *testing.T) {
 	c := corpus()
 	e := c.Dev.Examples[0]
@@ -274,10 +274,12 @@ func TestGradeMemoClearsWhenFull(t *testing.T) {
 	if len(sim.grades) != len(demos) {
 		t.Fatalf("memo holds %d grades after a prompt of %d distinct demonstrations", len(sim.grades), len(demos))
 	}
-	lo := uintptr(unsafe.Pointer(unsafe.StringData(req.Prompt)))
-	for k := range sim.grades {
-		if p := uintptr(unsafe.Pointer(unsafe.StringData(k))); p >= lo && p < lo+uintptr(len(req.Prompt)) {
-			t.Errorf("memo key %q points into the prompt", k)
+	for _, block := range req.Prompt {
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(block)))
+		for k := range sim.grades {
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(k))); p >= lo && p < lo+uintptr(len(block)) {
+				t.Errorf("memo key %q points into a block of the prompt", k)
+			}
 		}
 	}
 

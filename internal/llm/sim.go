@@ -64,7 +64,7 @@ const (
 // clones its tree only to hallucinate on it.
 func (s *Sim) Complete(req Request) Response {
 	rng := lazyrand.New(req.Seed ^ int64(s.tier)<<32 ^ 0x5eed)
-	resp := Response{InputTokens: prompt.Tokens(req.Prompt)}
+	resp := Response{InputTokens: req.Prompt.Tokens()}
 	g := s.promptGuidance(req)
 	nTables, nCols := prompt.TaskSchemaSize(req.Prompt)
 	linkErr := s.linkErrRate(req, nTables, nCols)
@@ -153,7 +153,7 @@ type guidanceInfo struct {
 	matches int
 }
 
-// promptGuidance parses the demonstrations out of the prompt text and
+// promptGuidance parses the demonstrations out of the prompt's blocks and
 // grades them against the gold skeleton. This is the oracle-calibrated
 // grading of prompt quality: a demo that matches at Keywords level teaches
 // the exact operator composition; a Clause-level cousin only gestures at it.
@@ -163,7 +163,7 @@ func (s *Sim) promptGuidance(req Request) guidanceInfo {
 	}
 	gold := gradeOf(sqlir.Skeleton(req.Task.Gold))
 	var counts [guideExact + 1]int
-	for _, demoSQL := range prompt.ParseDemoSQLs(req.Prompt) {
+	for demoSQL := range prompt.DemoSQLs(req.Prompt) {
 		g := s.demoGrade(demoSQL)
 		switch {
 		case !g.ok:
@@ -217,7 +217,7 @@ func (s *Sim) demoGrade(sql string) grade {
 	if len(s.grades) >= gradeMemoSize {
 		clear(s.grades)
 	}
-	// sql is a substring of the prompt: the key must not keep it alive.
+	// sql is a substring of a prompt block: the key must not keep it alive.
 	s.grades[strings.Clone(sql)] = g
 	s.mu.Unlock()
 	return g

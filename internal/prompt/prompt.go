@@ -13,7 +13,10 @@ import (
 )
 
 // Tokens estimates the LLM token count of a string.
-func Tokens(s string) int { return (len(s) + 3) / 4 }
+func Tokens(s string) int { return tokensOf(len(s)) }
+
+// tokensOf is the ~4-characters-per-token estimate for n bytes of text.
+func tokensOf(n int) int { return (n + 3) / 4 }
 
 // Demo is one demonstration rendered as its prompt block: the header, the
 // pruned schema, the question and its SQL. Its text never changes, so a
@@ -46,9 +49,27 @@ const (
 	SQLPrefix    = "SQL:"
 )
 
+// Text is a prompt as the blocks it is made of, in order: the
+// instructions line (when there are instructions), each demonstration
+// block exactly as NewDemo rendered it, and the task section. Every block
+// but the last ends in '\n', so a line of the prompt never spans two
+// blocks. The prompt text is the blocks' concatenation; nothing on the
+// serving path joins them.
+type Text []string
+
+// Tokens estimates the LLM token count of the prompt text, as Tokens does
+// of the joined text.
+func (t Text) Tokens() int {
+	n := 0
+	for _, b := range t {
+		n += len(b)
+	}
+	return tokensOf(n)
+}
+
 // Result is the assembled prompt plus accounting.
 type Result struct {
-	Text        string
+	Text        Text
 	DemosUsed   int
 	InputTokens int
 }
@@ -58,27 +79,32 @@ type Result struct {
 // first); demonstrations are pulled from demos in preference order and
 // added until the first one that does not fit, after which Build pulls no
 // more. A nil demos builds a zero-shot prompt. maxTokens <= 0 means
-// unlimited. Demonstrations come rendered: Build collects the blocks that
-// fit and copies each once, into a text grown to its final length.
+// unlimited. Demonstrations come rendered: the prompt holds their blocks
+// without copying them, so Build allocates the task section and the
+// block list whatever the number of demonstrations.
 func Build(instructions string, demos iter.Seq[Demo], taskDB *schema.Database, nl string, maxTokens int) Result {
-	var task strings.Builder
-	task.WriteString(TaskHeader)
-	task.WriteByte('\n')
-	writeSchema(&task, taskDB)
-	task.WriteString(QueryPrefix + " " + nl + "\n")
-	task.WriteString(SQLPrefix)
+	var sb strings.Builder
+	sb.WriteString(TaskHeader)
+	sb.WriteByte('\n')
+	writeSchema(&sb, taskDB)
+	sb.WriteString(QueryPrefix + " " + nl + "\n")
+	sb.WriteString(SQLPrefix)
+	task := sb.String()
 
 	var head string
 	if instructions != "" {
 		head = instructions + "\n"
 	}
-	budget := maxTokens - Tokens(task.String()) - Tokens(head)
-	size := len(head) + task.Len()
+	budget := maxTokens - Tokens(task) - Tokens(head)
 
 	// A prompt at the default 3,072-token budget holds ~58 demonstrations,
-	// so collecting them allocates this one array.
-	var first [64]Demo
-	kept := first[:0]
+	// so room for 64, the instructions line and the task section allocates
+	// its block list once.
+	text := make(Text, 0, 64+2)
+	if head != "" {
+		text = append(text, head)
+	}
+	start := len(text)
 	if demos == nil {
 		demos = func(func(Demo) bool) {}
 	}
@@ -86,19 +112,12 @@ func Build(instructions string, demos iter.Seq[Demo], taskDB *schema.Database, n
 		if maxTokens > 0 && d.Tokens > budget {
 			break
 		}
-		kept = append(kept, d)
+		text = append(text, d.Text)
 		budget -= d.Tokens
-		size += len(d.Text)
 	}
-	var sb strings.Builder
-	sb.Grow(size)
-	sb.WriteString(head)
-	for _, d := range kept {
-		sb.WriteString(d.Text)
-	}
-	sb.WriteString(task.String())
-	text := sb.String()
-	return Result{Text: text, DemosUsed: len(kept), InputTokens: Tokens(text)}
+	used := len(text) - start
+	text = append(text, task)
+	return Result{Text: text, DemosUsed: used, InputTokens: text.Tokens()}
 }
 
 // writeSchema renders a compact schema block: one line per table with its
@@ -126,37 +145,56 @@ func writeSchema(sb *strings.Builder, db *schema.Database) {
 	}
 }
 
-// ParseDemoSQLs extracts the demonstration SQL strings from a rendered
-// prompt. The simulated LLM uses this: what it can learn from is exactly
-// what the prompt contains.
-func ParseDemoSQLs(text string) []string {
-	var out []string
-	for line := range strings.SplitSeq(text, "\n") {
-		if strings.HasPrefix(line, TaskHeader) {
-			break
-		}
-		if strings.HasPrefix(line, SQLPrefix+" ") {
-			out = append(out, strings.TrimSpace(strings.TrimPrefix(line, SQLPrefix)))
+// DemoSQLs yields the demonstration SQL strings of a prompt, in order:
+// the text after "SQL: " on each line before the task section, trimmed of
+// surrounding space. The simulated LLM uses this: what it can learn from is
+// exactly what the prompt contains. Ranging over it allocates nothing; the
+// strings it yields are substrings of the prompt's blocks.
+func DemoSQLs(t Text) iter.Seq[string] {
+	return func(yield func(string) bool) { demoSQLs(t, yield) }
+}
+
+// demoSQLs is DemoSQLs's loop, kept out of the closure DemoSQLs returns so
+// that DemoSQLs inlines into its caller and the closure stays on its stack.
+func demoSQLs(t Text, yield func(string) bool) {
+	for _, block := range t {
+		for len(block) > 0 {
+			var line string
+			line, block, _ = strings.Cut(block, "\n")
+			if strings.HasPrefix(line, TaskHeader) {
+				return
+			}
+			if strings.HasPrefix(line, SQLPrefix+" ") && !yield(strings.TrimSpace(line[len(SQLPrefix):])) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // TaskSchemaSize counts the tables and columns in the task section of a
-// prompt; the simulated LLM's schema-linking difficulty scales with it.
-func TaskSchemaSize(text string) (tables, columns int) {
-	idx := strings.Index(text, TaskHeader)
-	if idx < 0 {
-		return 0, 0
-	}
-	for line := range strings.SplitSeq(text[idx:], "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, QueryPrefix) {
-			break
+// prompt, which starts at the first "### Task" in the text; the simulated
+// LLM's schema-linking difficulty scales with it.
+func TaskSchemaSize(t Text) (tables, columns int) {
+	inTask := false
+	for _, block := range t {
+		if !inTask {
+			i := strings.Index(block, TaskHeader)
+			if i < 0 {
+				continue
+			}
+			inTask, block = true, block[i:]
 		}
-		if open := strings.IndexByte(line, '('); open > 0 && strings.HasSuffix(line, ")") {
-			tables++
-			columns += strings.Count(line[open:], ",") + 1
+		for len(block) > 0 {
+			var line string
+			line, block, _ = strings.Cut(block, "\n")
+			line = strings.TrimSpace(line)
+			if strings.HasPrefix(line, QueryPrefix) {
+				return tables, columns
+			}
+			if open := strings.IndexByte(line, '('); open > 0 && strings.HasSuffix(line, ")") {
+				tables++
+				columns += strings.Count(line[open:], ",") + 1
+			}
 		}
 	}
 	return tables, columns

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/classifier"
 	"repro/internal/schema"
@@ -38,15 +39,16 @@ func TestTokens(t *testing.T) {
 func TestBuildContainsSections(t *testing.T) {
 	demos := []Demo{NewDemo(demoDB(), "How many singers?", "SELECT COUNT(*) FROM singer")}
 	r := Build("-- inst", slices.Values(demos), demoDB(), "List names.", 0)
+	text := strings.Join(r.Text, "")
 	for _, want := range []string{"-- inst", DemoHeader, TaskHeader, "singer(id, name)", "Q: List names.", "SQL: SELECT COUNT(*) FROM singer", "FK singer.id -> band.id"} {
-		if !strings.Contains(r.Text, want) {
-			t.Errorf("prompt missing %q:\n%s", want, r.Text)
+		if !strings.Contains(text, want) {
+			t.Errorf("prompt missing %q:\n%s", want, text)
 		}
 	}
 	if r.DemosUsed != 1 {
 		t.Errorf("DemosUsed = %d", r.DemosUsed)
 	}
-	if r.InputTokens != Tokens(r.Text) {
+	if r.InputTokens != Tokens(text) || r.Text.Tokens() != Tokens(text) {
 		t.Error("token accounting mismatch")
 	}
 }
@@ -95,7 +97,7 @@ func TestBuildStopsPullingAtFirstMisfit(t *testing.T) {
 
 func TestTaskAlwaysFits(t *testing.T) {
 	r := Build("", nil, demoDB(), "List names.", 10) // budget below task size
-	if !strings.Contains(r.Text, TaskHeader) || !strings.Contains(r.Text, "Q: List names.") {
+	if text := strings.Join(r.Text, ""); !strings.Contains(text, TaskHeader) || !strings.Contains(text, "Q: List names.") {
 		t.Error("task section must always be present")
 	}
 }
@@ -106,15 +108,15 @@ func TestParseDemoSQLs(t *testing.T) {
 		NewDemo(demoDB(), "q2", "SELECT b FROM u"),
 	}
 	r := Build("", slices.Values(demos), demoDB(), "task question", 0)
-	got := ParseDemoSQLs(r.Text)
+	got := slices.Collect(DemoSQLs(r.Text))
 	if len(got) != 2 || got[0] != "SELECT a FROM t" || got[1] != "SELECT b FROM u" {
-		t.Errorf("ParseDemoSQLs = %v", got)
+		t.Errorf("DemoSQLs = %v", got)
 	}
 }
 
 func TestParseDemoSQLsIgnoresTaskSQLPrefix(t *testing.T) {
 	r := Build("", nil, demoDB(), "q", 0)
-	if got := ParseDemoSQLs(r.Text); len(got) != 0 {
+	if got := slices.Collect(DemoSQLs(r.Text)); len(got) != 0 {
 		t.Errorf("task trailing SQL: must not parse as demo: %v", got)
 	}
 }
@@ -127,8 +129,8 @@ func TestTaskSchemaSize(t *testing.T) {
 	}
 }
 
-// TestBuildAllocsDoNotGrowWithDemos: Build copies the blocks that fit into
-// one text grown to its final length, so a prompt holding a default
+// TestBuildAllocsDoNotGrowWithDemos: Build keeps the blocks that fit in
+// one block list, without copying them, so a prompt holding a default
 // budget's worth of demonstrations costs it the allocations of a prompt
 // holding one.
 func TestBuildAllocsDoNotGrowWithDemos(t *testing.T) {
@@ -151,9 +153,11 @@ func TestBuildAllocsDoNotGrowWithDemos(t *testing.T) {
 
 // TestBuildMatchesPerCallRenderer holds Build to refBuild, the renderer it
 // replaced, over the training demonstrations of the scale-0.08 corpus
-// (pruned as the pipeline prunes them) and its dev tasks: the text, the
-// demonstrations used and the token count must be identical at every
-// budget, with and without instructions, and zero-shot.
+// (pruned as the pipeline prunes them) and its dev tasks: the joined text,
+// the demonstrations used and the token count must be identical at every
+// budget, with and without instructions, and zero-shot. Each demonstration
+// block of the prompt must be the rendered block itself, not a copy, and
+// every block but the last must end in a newline.
 func TestBuildMatchesPerCallRenderer(t *testing.T) {
 	c := spider.GenerateSmall(1, 0.08)
 	var refs []refDemo
@@ -169,13 +173,17 @@ func TestBuildMatchesPerCallRenderer(t *testing.T) {
 				from := i * 7 % len(demos) // each task pulls a different run of demonstrations
 				want := refBuild(instructions, slices.Values(refs[from:]), e.DB, e.NL, maxTokens)
 				got := Build(instructions, slices.Values(demos[from:]), e.DB, e.NL, maxTokens)
-				if got != want {
+				if joined := strings.Join(got.Text, ""); joined != want.Text || got.DemosUsed != want.DemosUsed || got.InputTokens != want.InputTokens {
 					t.Fatalf("instructions %q, budget %d, task %d: Build = %d demos, %d tokens; reference %d demos, %d tokens; texts equal: %v",
-						instructions, maxTokens, e.ID, got.DemosUsed, got.InputTokens, want.DemosUsed, want.InputTokens, got.Text == want.Text)
+						instructions, maxTokens, e.ID, got.DemosUsed, got.InputTokens, want.DemosUsed, want.InputTokens, joined == want.Text)
 				}
-				if got, want := Build(instructions, nil, e.DB, e.NL, maxTokens), refBuild(instructions, nil, e.DB, e.NL, maxTokens); got != want {
+				checkBlocks(t, got, instructions, demos[from:])
+				got = Build(instructions, nil, e.DB, e.NL, maxTokens)
+				want = refBuild(instructions, nil, e.DB, e.NL, maxTokens)
+				if strings.Join(got.Text, "") != want.Text || got.DemosUsed != want.DemosUsed || got.InputTokens != want.InputTokens {
 					t.Fatalf("instructions %q, budget %d, task %d: zero-shot prompt differs from the reference", instructions, maxTokens, e.ID)
 				}
+				checkBlocks(t, got, instructions, nil)
 			}
 		}
 	}
@@ -199,15 +207,50 @@ func prunedSchema(e *spider.Example) *schema.Database {
 	return e.DB.Prune(keep)
 }
 
-// refDemo and refBuild are the renderer Build replaced: it rendered each
-// demonstration it pulled, schema included, on every call.
+// checkBlocks checks r's block list: the instructions line when there are
+// instructions, then the first r.DemosUsed of demos, each the rendered
+// block itself (same bytes in memory), then the task section; every block
+// but the last ends in a newline.
+func checkBlocks(t *testing.T, r Result, instructions string, demos []Demo) {
+	t.Helper()
+	blocks := r.Text
+	if instructions != "" {
+		if blocks[0] != instructions+"\n" {
+			t.Fatalf("first block %q, want the instructions line", blocks[0])
+		}
+		blocks = blocks[1:]
+	}
+	if len(blocks) != r.DemosUsed+1 || !strings.HasPrefix(blocks[len(blocks)-1], TaskHeader) {
+		t.Fatalf("%d blocks after the instructions for %d demonstrations, or the last is not the task section", len(blocks), r.DemosUsed)
+	}
+	for i, b := range blocks[:r.DemosUsed] {
+		if unsafe.StringData(b) != unsafe.StringData(demos[i].Text) || len(b) != len(demos[i].Text) {
+			t.Fatalf("demonstration block %d is not the rendered block", i)
+		}
+	}
+	for i, b := range r.Text[:len(r.Text)-1] {
+		if !strings.HasSuffix(b, "\n") {
+			t.Fatalf("block %d of %d does not end in a newline: %q", i, len(r.Text), b)
+		}
+	}
+}
+
+// refResult, refDemo and refBuild are the renderer Build replaced: it
+// rendered each demonstration it pulled, schema included, on every call,
+// into one string.
+type refResult struct {
+	Text        string
+	DemosUsed   int
+	InputTokens int
+}
+
 type refDemo struct {
 	DB  *schema.Database
 	NL  string
 	SQL string
 }
 
-func refBuild(instructions string, demos iter.Seq[refDemo], taskDB *schema.Database, nl string, maxTokens int) Result {
+func refBuild(instructions string, demos iter.Seq[refDemo], taskDB *schema.Database, nl string, maxTokens int) refResult {
 	var task strings.Builder
 	task.WriteString(TaskHeader)
 	task.WriteByte('\n')
@@ -243,7 +286,7 @@ func refBuild(instructions string, demos iter.Seq[refDemo], taskDB *schema.Datab
 	}
 	sb.WriteString(task.String())
 	text := sb.String()
-	return Result{Text: text, DemosUsed: used, InputTokens: Tokens(text)}
+	return refResult{Text: text, DemosUsed: used, InputTokens: Tokens(text)}
 }
 
 func refWriteSchema(sb *strings.Builder, db *schema.Database) {

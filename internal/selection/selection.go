@@ -57,7 +57,8 @@ type Options struct {
 	Rng *rand.Rand
 	// FillPool, when non-nil, supplies demonstration indexes appended in
 	// random order after all matched demonstrations, so the prompt budget
-	// is fully used (Section IV-C3).
+	// is fully used (Section IV-C3). Each index is below the hierarchy's
+	// Demos.
 	FillPool []int
 }
 
@@ -99,7 +100,7 @@ func Select(h *automaton.Hierarchy, predSkeletons [][]string, opts Options) iter
 
 	return func(yield func(int) bool) {
 		next := make([]int, len(cells)) // per cell, the next match to pop
-		seen := map[int]bool{}
+		seen := newBitset(h.Demos)
 		p := policy.P0
 		for {
 			remaining := false
@@ -126,8 +127,7 @@ func Select(h *automaton.Hierarchy, predSkeletons [][]string, opts Options) iter
 				for next[i] < len(c) {
 					d := c[next[i]]
 					next[i]++
-					if !seen[d] {
-						seen[d] = true
+					if seen.add(d) {
 						if !yield(d) {
 							return
 						}
@@ -143,9 +143,7 @@ func Select(h *automaton.Hierarchy, predSkeletons [][]string, opts Options) iter
 
 		if opts.FillPool != nil && opts.Rng != nil {
 			for _, i := range opts.Rng.Perm(len(opts.FillPool)) {
-				d := opts.FillPool[i]
-				if !seen[d] {
-					seen[d] = true
+				if d := opts.FillPool[i]; seen.add(d) {
 					if !yield(d) {
 						return
 					}
@@ -153,4 +151,20 @@ func Select(h *automaton.Hierarchy, predSkeletons [][]string, opts Options) iter
 			}
 		}
 	}
+}
+
+// bitset is the set of demonstrations a walk has yielded, one bit per
+// demonstration the hierarchy indexes.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// add inserts i and reports whether it was absent.
+func (b bitset) add(i int) bool {
+	w, bit := i/64, uint64(1)<<(i%64)
+	if b[w]&bit != 0 {
+		return false
+	}
+	b[w] |= bit
+	return true
 }

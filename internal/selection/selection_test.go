@@ -257,7 +257,7 @@ func TestLazyPrefixMatchesFullOrder(t *testing.T) {
 // and leave the caller's rng untouched, because the fill permutation is
 // drawn only when a consumer pulls past the matches.
 func TestCoveredPrefixDrawsNoFill(t *testing.T) {
-	_, h := demoSet()
+	demos, h := demoSet()
 	preds := [][]string{toks("SELECT x FROM y WHERE z = 9")}
 	covered := len(slices.Collect(Select(h, preds, Options{})))
 	if covered == 0 {
@@ -274,10 +274,10 @@ func TestCoveredPrefixDrawsNoFill(t *testing.T) {
 			t.Fatalf("pulled %d demonstrations, want %d", got, n)
 		}
 	}
-	pool := func(n int) []int {
+	pool := func(n int) []int { // n entries, each a demonstration of h
 		out := make([]int, n)
 		for i := range out {
-			out[i] = i
+			out[i] = i % len(demos)
 		}
 		return out
 	}

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/schema"
@@ -190,27 +189,6 @@ func (c *PlanCache) ExecCtx(ctx context.Context, db *schema.Database, sql string
 	}
 	sp.SetAttrs(trace.Int("rows", int64(len(res.Rows))))
 	return res, nil
-}
-
-// InvalidateFingerprint removes every cached statement prepared against a
-// schema with the given fingerprint and returns how many were dropped. The
-// multi-tenant catalog calls it when a database is re-registered or evicted:
-// the fingerprint names the retired schema version, so plans compiled
-// against it must not be served to the replacement. Dropped entries do not
-// count as evictions (they were invalidated, not displaced by pressure).
-func (c *PlanCache) InvalidateFingerprint(fp uint64) int {
-	prefix := strconv.FormatUint(fp, 16) + "\x00"
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for key, el := range c.entries {
-		if strings.HasPrefix(key, prefix) {
-			c.lru.Remove(el)
-			delete(c.entries, key)
-			n++
-		}
-	}
-	return n
 }
 
 // Stats snapshots the counters.

@@ -334,60 +334,3 @@ func TestUnknownColumnStaysLazy(t *testing.T) {
 		t.Fatalf("non-empty relation must error: %v", err)
 	}
 }
-
-func TestPlanCacheInvalidateFingerprint(t *testing.T) {
-	c := NewPlanCache(16)
-	db := testDB()
-	other := testDB()
-	other.Name = "other"
-	// A rename alone keeps the fingerprint (content-addressed); add a table
-	// for a different structural identity => different fingerprint.
-	other.Tables = append(other.Tables, &schema.Table{
-		Name:    "extra",
-		Columns: []schema.Column{{Name: "id", Type: schema.TypeNumber}},
-	})
-	queries := []string{"SELECT name FROM singer", "SELECT bname FROM band"}
-	for _, q := range queries {
-		if _, err := c.Exec(db, q); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Exec(other, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.Stats().Size; got != 4 {
-		t.Fatalf("size=%d, want 4", got)
-	}
-
-	if n := c.InvalidateFingerprint(db.Fingerprint()); n != 2 {
-		t.Fatalf("invalidated %d plans, want 2", n)
-	}
-	st := c.Stats()
-	if st.Size != 2 {
-		t.Errorf("size=%d after invalidation, want 2", st.Size)
-	}
-	if st.Evictions != 0 {
-		t.Errorf("invalidation counted as %d evictions; must not", st.Evictions)
-	}
-
-	// The other schema's plans survive and still hit.
-	before := c.Stats().Hits
-	if _, err := c.Exec(other, queries[0]); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().Hits != before+1 {
-		t.Error("surviving fingerprint's plan no longer hits")
-	}
-	// The invalidated schema recompiles (miss) without error.
-	missBefore := c.Stats().Misses
-	if _, err := c.Exec(db, queries[0]); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().Misses != missBefore+1 {
-		t.Error("invalidated plan was still served")
-	}
-
-	if n := c.InvalidateFingerprint(99999999); n != 0 {
-		t.Errorf("unknown fingerprint invalidated %d plans", n)
-	}
-}
