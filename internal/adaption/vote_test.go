@@ -338,8 +338,9 @@ func TestVoteMatchesPerCandidateVoteOnSampledSQL(t *testing.T) {
 	sim := llm.NewSim(llm.ChatGPT)
 	rng := rand.New(rand.NewSource(29))
 	for _, e := range c.Dev.Examples[:min(60, len(c.Dev.Examples))] {
+		zeroShot := prompt.NewBuilder("", e.DB, e.NL, 0)
 		resp := sim.Complete(llm.Request{
-			Prompt: prompt.Build("", nil, e.DB, e.NL, 0).Text,
+			Prompt: zeroShot.Result().Text,
 			N:      30,
 			Task:   e,
 			Seed:   int64(e.ID),

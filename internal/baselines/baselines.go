@@ -7,7 +7,6 @@
 package baselines
 
 import (
-	"slices"
 	"sort"
 	"strings"
 
@@ -34,7 +33,8 @@ func (s *ChatGPTSQL) Name() string { return "ChatGPT-SQL(" + s.Client.Name() + "
 
 // Translate implements core.Translator.
 func (s *ChatGPTSQL) Translate(e *spider.Example) core.Translation {
-	built := prompt.Build("-- Translate the question into SQLite SQL.", nil, e.DB, e.NL, 0)
+	b := prompt.NewBuilder("-- Translate the question into SQLite SQL.", e.DB, e.NL, 0)
+	built := b.Result()
 	resp := s.Client.Complete(llm.Request{
 		Prompt: built.Text, N: 1, Task: e,
 		Seed: s.Seed*11_000_003 + int64(e.ID),
@@ -72,7 +72,8 @@ func (s *C3) Translate(e *spider.Example) core.Translation {
 		taskDB = classifier.Prune(s.Clf, e.NL, taskDB, pcfg).DB
 	}
 	instructions := "-- Use only provided tables and columns. Prefer simple clear SQL. Do not use unsupported functions."
-	built := prompt.Build(instructions, nil, taskDB, e.NL, 0)
+	b := prompt.NewBuilder(instructions, taskDB, e.NL, 0)
+	built := b.Result()
 	resp := s.Client.Complete(llm.Request{
 		Prompt: built.Text, N: n, Task: e,
 		Calibrated: true,
@@ -138,7 +139,11 @@ func (s *DINSQL) Name() string { return "DIN-SQL(" + s.Client.Name() + ")" }
 // Translate implements core.Translator.
 func (s *DINSQL) Translate(e *spider.Example) core.Translation {
 	instructions := "-- Let's think step by step: link the schema, classify the question, then write the SQL."
-	built := prompt.Build(instructions, slices.Values(s.fixed), e.DB, e.NL, 0)
+	b := prompt.NewBuilder(instructions, e.DB, e.NL, 0)
+	for _, d := range s.fixed {
+		b.Add(d)
+	}
+	built := b.Result()
 	resp := s.Client.Complete(llm.Request{
 		Prompt: built.Text, N: 1, Task: e,
 		CoT:  true,
@@ -204,18 +209,17 @@ func (s *DAILSQL) Translate(e *spider.Example) core.Translation {
 		ranking[i] = scored{i, 0.7*jaccard(predKw, s.kws[i]) + 0.3*jaccardSet(nlWords, s.words[i])}
 	}
 	sort.SliceStable(ranking, func(i, j int) bool { return ranking[i].score > ranking[j].score })
-	ordered := func(yield func(prompt.Demo) bool) {
-		for _, r := range ranking {
-			if !yield(s.demos[r.idx]) {
-				return
-			}
-		}
-	}
 	maxTok := s.MaxTokens
 	if maxTok <= 0 {
 		maxTok = 3072
 	}
-	built := prompt.Build("", ordered, e.DB, e.NL, maxTok)
+	b := prompt.NewBuilder("", e.DB, e.NL, maxTok)
+	for _, r := range ranking {
+		if !b.Add(s.demos[r.idx]) {
+			break
+		}
+	}
+	built := b.Result()
 	resp := s.Client.Complete(llm.Request{
 		Prompt: built.Text, N: 1, Task: e,
 		Seed: s.Seed*19_000_003 + int64(e.ID),
@@ -247,7 +251,8 @@ func (s *PLMDirect) Name() string { return s.Label }
 
 // Translate implements core.Translator.
 func (s *PLMDirect) Translate(e *spider.Example) core.Translation {
-	built := prompt.Build("", nil, e.DB, e.NL, 0)
+	b := prompt.NewBuilder("", e.DB, e.NL, 0)
+	built := b.Result()
 	resp := s.client.Complete(llm.Request{
 		Prompt: built.Text, N: 1, Task: e,
 		Seed: s.Seed*23_000_003 + int64(e.ID),

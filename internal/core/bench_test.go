@@ -96,7 +96,7 @@ func BenchmarkPipelinePredict(b *testing.B) {
 // BenchmarkPipelineSelect is demonstration selection and prompt assembly as
 // the pipeline runs them: Select over the automaton hierarchy for a dev
 // task's top-k predicted skeletons (predicted once, up front), re-seeding
-// the random fill per task, and prompt.Build pulling the pre-rendered
+// the random fill per task, and a prompt.Builder adding the pre-rendered
 // demonstration blocks that fit the default 3,072-token prompt.
 func BenchmarkPipelineSelect(b *testing.B) {
 	p, tasks := paperPipeline()
@@ -113,14 +113,13 @@ func BenchmarkPipelineSelect(b *testing.B) {
 		k := i % len(tasks)
 		rng.Seed(int64(k))
 		order := selection.Select(p.hier, preds[k], selection.Options{Policy: p.cfg.Policy, Rng: rng, FillPool: p.allIdx})
-		pulled := func(yield func(prompt.Demo) bool) {
-			for d := range order {
-				if !yield(p.demos[d]) {
-					return
-				}
+		built := prompt.NewBuilder("", tasks[k].DB, tasks[k].NL, p.cfg.PromptTokens)
+		for d := range order {
+			if !built.Add(p.demos[d]) {
+				break
 			}
 		}
-		if prompt.Build("", pulled, tasks[k].DB, tasks[k].NL, p.cfg.PromptTokens).DemosUsed == 0 {
+		if built.Result().DemosUsed == 0 {
 			b.Fatal("no demonstration fits the budget")
 		}
 	}

@@ -235,7 +235,7 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 
 	// The per-task rng drives selection's noise knobs and random fill, or
 	// the ablation's permutation. Nothing draws from it after selection, so
-	// a fill permutation that prompt.Build never pulls far enough to draw
+	// a fill permutation that the prompt never pulls far enough to draw
 	// leaves every later output unchanged.
 	rng := lazyrand.New(p.cfg.Seed*1_000_003 + int64(e.ID))
 
@@ -263,7 +263,7 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 
 	// Step 3: demonstration selection. Select builds the preference matrix
 	// and returns the order lazily, so the span closes when it returns; the
-	// demonstrations prompt.Build pulls are counted as they are produced.
+	// demonstrations the prompt pulls are counted as they are produced.
 	_, ssp := trace.StartSpan(ctx, "pipeline.select")
 	var order iter.Seq[int]
 	if p.cfg.UseSelection {
@@ -278,18 +278,17 @@ func (p *Pipeline) TranslateContext(ctx context.Context, e *spider.Example) Tran
 		order = slices.Values(rng.Perm(len(p.demos))) // the -Demonstration Selection ablation
 	}
 	selected := time.Now()
-	candidates := 0
-	demos := func(yield func(prompt.Demo) bool) {
-		for i := range order {
-			candidates++
-			if !yield(p.demos[i]) {
-				return
-			}
-		}
-	}
 
 	// Step 4: prompt assembly and LLM inference.
-	built := prompt.Build("", demos, taskDB, e.NL, p.cfg.PromptTokens)
+	b := prompt.NewBuilder("", taskDB, e.NL, p.cfg.PromptTokens)
+	candidates := 0
+	for i := range order {
+		candidates++
+		if !b.Add(p.demos[i]) {
+			break
+		}
+	}
+	built := b.Result()
 	ssp.SetAttrs(trace.Int("candidates", int64(candidates)))
 	ssp.FinishAt(selected)
 	n := p.cfg.Consistency

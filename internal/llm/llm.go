@@ -26,7 +26,7 @@ import (
 // Request is one LLM call.
 type Request struct {
 	// Prompt is the full prompt (instructions + demonstrations + task), as
-	// the blocks prompt.Build assembled; the prompt text is their
+	// the blocks a prompt.Builder assembled; the prompt text is their
 	// concatenation.
 	Prompt prompt.Text
 	// N is the number of sampled completions (the consistency number).

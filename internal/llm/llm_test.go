@@ -3,7 +3,6 @@ package llm
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -30,11 +29,11 @@ func corpus() *spider.Corpus { return spider.GenerateSmall(21, 0.08) }
 
 // buildPrompt renders a minimal prompt, optionally embedding demo SQLs.
 func buildPrompt(e *spider.Example, demoSQLs ...string) prompt.Text {
-	var demos []prompt.Demo
+	b := prompt.NewBuilder("", e.DB, e.NL, 0)
 	for _, sql := range demoSQLs {
-		demos = append(demos, prompt.NewDemo(e.DB, "demo question", sql))
+		b.Add(prompt.NewDemo(e.DB, "demo question", sql))
 	}
-	return prompt.Build("", slices.Values(demos), e.DB, e.NL, 0).Text
+	return b.Result().Text
 }
 
 func TestDeterministicCompletion(t *testing.T) {
@@ -261,16 +260,20 @@ func TestSurfaceDriftPreservesExecution(t *testing.T) {
 	}
 }
 
-// TestGradeMemoClearsWhenFull fills a Sim's grade memo past its size: it
-// must hold at most gradeMemoSize entries, none of them pointing into a
-// block of a prompt, and grading after the clear must be unchanged.
+// TestGradeMemoClearsWhenFull fills a Sim's two memos past their size:
+// each must hold at most gradeMemoSize entries, no SQL memo key may point
+// into a block of a prompt, the blocks memo must hold the prompt's
+// demonstration blocks themselves and never its task section, and grading
+// after each clear must be unchanged.
 func TestGradeMemoClearsWhenFull(t *testing.T) {
 	c := corpus()
 	e := c.Dev.Examples[0]
 	demos := []string{e.GoldSQL, "SELEC broken FROM", c.Dev.Examples[1].GoldSQL, c.Dev.Examples[2].GoldSQL}
 	req := Request{Prompt: buildPrompt(e, demos...), N: 5, Task: e, Seed: 3}
 	sim := NewSim(ChatGPT)
-	wantResp, wantGuide := sim.Complete(req), sim.promptGuidance(req)
+	wantResp := sim.Complete(req)
+	wantGuide, _, _ := sim.readPrompt(req)
+	// The gold is one of the demonstrations.
 	if len(sim.grades) != len(demos) {
 		t.Fatalf("memo holds %d grades after a prompt of %d distinct demonstrations", len(sim.grades), len(demos))
 	}
@@ -282,9 +285,20 @@ func TestGradeMemoClearsWhenFull(t *testing.T) {
 			}
 		}
 	}
+	if len(sim.blocks) != len(demos) {
+		t.Fatalf("blocks memo holds %d blocks after a prompt of %d demonstrations", len(sim.blocks), len(demos))
+	}
+	for i, block := range req.Prompt[:len(demos)] {
+		if gs, ok := sim.blocks[block]; !ok || len(gs) != 1 || gs[0] != sim.grades[demos[i]] {
+			t.Errorf("blocks memo holds %+v for demonstration %d, want its grade", gs, i)
+		}
+	}
+	if _, ok := sim.blocks[req.Prompt[len(demos)]]; ok {
+		t.Error("blocks memo holds the task section")
+	}
 
 	for i := range gradeMemoSize {
-		sim.demoGrade(fmt.Sprintf("SELECT c%d FROM t", i))
+		sim.sqlGrade(fmt.Sprintf("SELECT c%d FROM t", i))
 		if len(sim.grades) > gradeMemoSize {
 			t.Fatalf("memo holds %d grades, over its size %d", len(sim.grades), gradeMemoSize)
 		}
@@ -292,8 +306,20 @@ func TestGradeMemoClearsWhenFull(t *testing.T) {
 	if _, ok := sim.grades[e.GoldSQL]; ok {
 		t.Fatal("memo was not cleared when full")
 	}
-	if got := sim.promptGuidance(req); got != wantGuide {
+	if got, _, _ := sim.readPrompt(req); got != wantGuide {
 		t.Errorf("guidance after the clear %+v, before %+v", got, wantGuide)
+	}
+	for i := range gradeMemoSize {
+		sim.blockGrades(fmt.Sprintf("Q: q%d\n", i))
+		if len(sim.blocks) > gradeMemoSize {
+			t.Fatalf("blocks memo holds %d blocks, over its size %d", len(sim.blocks), gradeMemoSize)
+		}
+	}
+	if _, ok := sim.blocks[req.Prompt[0]]; ok {
+		t.Fatal("blocks memo was not cleared when full")
+	}
+	if got, _, _ := sim.readPrompt(req); got != wantGuide {
+		t.Errorf("guidance after the blocks memo's clear %+v, before %+v", got, wantGuide)
 	}
 	if got := sim.Complete(req); !reflect.DeepEqual(got, wantResp) {
 		t.Errorf("response after the clear %+v, before %+v", got, wantResp)

@@ -17,18 +17,20 @@ type Sim struct {
 	prof profile
 
 	mu     sync.Mutex
-	grades map[string]grade // demonstration SQL → its grade; see demoGrade
+	grades map[string]grade   // SQL text → its grade; see sqlGrade
+	blocks map[string][]grade // prompt block → its SQL lines' grades; see readPrompt
 }
 
-// gradeMemoSize bounds a Sim's grade memo: when full it is cleared. The
-// paper-scale training split has 6,811 distinct gold SQL strings, so a
-// shard's pipeline never clears it, and tenants' demonstrations cannot
-// grow it without bound.
+// gradeMemoSize bounds each of a Sim's two memos: when one is full it is
+// cleared. The paper-scale corpus has 6,811 distinct training gold SQL
+// strings and 8,659 demonstration blocks, so a shard's pipeline never
+// clears them, and tenants' demonstrations cannot grow them without
+// bound.
 const gradeMemoSize = 16384
 
 // NewSim returns a simulated LLM of the given tier.
 func NewSim(tier Tier) *Sim {
-	return &Sim{tier: tier, prof: profiles[tier], grades: map[string]grade{}}
+	return &Sim{tier: tier, prof: profiles[tier], grades: map[string]grade{}, blocks: map[string][]grade{}}
 }
 
 // Name implements Client.
@@ -65,8 +67,7 @@ const (
 func (s *Sim) Complete(req Request) Response {
 	rng := lazyrand.New(req.Seed ^ int64(s.tier)<<32 ^ 0x5eed)
 	resp := Response{InputTokens: req.Prompt.Tokens()}
-	g := s.promptGuidance(req)
-	nTables, nCols := prompt.TaskSchemaSize(req.Prompt)
+	g, nTables, nCols := s.readPrompt(req)
 	linkErr := s.linkErrRate(req, nTables, nCols)
 	halluRate := s.prof.halluBase
 	if req.Calibrated {
@@ -153,39 +154,89 @@ type guidanceInfo struct {
 	matches int
 }
 
-// promptGuidance parses the demonstrations out of the prompt's blocks and
-// grades them against the gold skeleton. This is the oracle-calibrated
-// grading of prompt quality: a demo that matches at Keywords level teaches
-// the exact operator composition; a Clause-level cousin only gestures at it.
-func (s *Sim) promptGuidance(req Request) guidanceInfo {
+// readPrompt reads the prompt as the model sees it: it grades the
+// demonstrations against the gold skeleton and counts the tables and
+// columns of the task section. This is the oracle-calibrated grading of
+// prompt quality: a demo that matches at Keywords level teaches the exact
+// operator composition; a Clause-level cousin only gestures at it.
+//
+// The demonstrations are the SQL lines prompt.DemoSQLs yields, and the
+// task section is where prompt.TaskSchemaSize finds it. A block without
+// "### Task" in it is read once per Sim: the blocks memo keeps its SQL
+// lines' grades, keyed by its text, so a prompt costs one lookup per
+// demonstration. The first block with "### Task" in it and every block
+// after it are read in full, every time; the task section starts in that
+// block. The gold is graded from its text through the SQL memo, as a
+// demonstration is.
+func (s *Sim) readPrompt(req Request) (guidanceInfo, int, int) {
+	t := req.Prompt
 	if req.Task == nil {
-		return guidanceInfo{}
+		tables, columns := prompt.TaskSchemaSize(t)
+		return guidanceInfo{}, tables, columns
 	}
-	gold := gradeOf(sqlir.Skeleton(req.Task.Gold))
-	var counts [guideExact + 1]int
-	for demoSQL := range prompt.DemoSQLs(req.Prompt) {
-		g := s.demoGrade(demoSQL)
-		switch {
-		case !g.ok:
-		case g.keywords == gold.keywords:
-			counts[guideExact]++
-		case g.structure == gold.structure:
-			counts[guideStructure]++
-		case g.clause == gold.clause:
-			counts[guideClause]++
+	gold := s.sqlGrade(req.Task.GoldSQL)
+	var counts matchCounts
+	n := 0 // blocks read so far
+	for {
+		n += s.readMemoised(t[n:], gold, &counts)
+		if n == len(t) || strings.Contains(t[n], prompt.TaskHeader) {
+			break
 		}
+		for _, g := range s.blockGrades(t[n]) {
+			counts.add(g, gold)
+		}
+		n++
 	}
+	for sql := range prompt.DemoSQLs(t[n:]) {
+		counts.add(s.sqlGrade(sql), gold)
+	}
+	tables, columns := prompt.TaskSchemaSize(t[n:])
+
 	for _, lvl := range []guidance{guideExact, guideStructure, guideClause} {
 		if counts[lvl] > 0 {
-			return guidanceInfo{level: lvl, matches: counts[lvl]}
+			return guidanceInfo{level: lvl, matches: counts[lvl]}, tables, columns
 		}
 	}
-	return guidanceInfo{}
+	return guidanceInfo{}, tables, columns
 }
 
-// grade is a skeleton abstracted to the three levels promptGuidance
-// compares, each joined into one string. The zero grade is that of SQL
-// that does not parse.
+// readMemoised counts the grades the blocks memo holds for t's blocks
+// against gold, in order and under one lock, up to the first block it
+// does not hold, and returns how many blocks it read.
+func (s *Sim) readMemoised(t prompt.Text, gold grade, counts *matchCounts) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, b := range t {
+		gs, ok := s.blocks[b]
+		if !ok {
+			return i
+		}
+		for _, g := range gs {
+			counts.add(g, gold)
+		}
+	}
+	return len(t)
+}
+
+// matchCounts counts demonstrations by the tightest level at which they
+// match the gold.
+type matchCounts [guideExact + 1]int
+
+func (c *matchCounts) add(g, gold grade) {
+	switch {
+	case !g.ok:
+	case g.keywords == gold.keywords:
+		c[guideExact]++
+	case g.structure == gold.structure:
+		c[guideStructure]++
+	case g.clause == gold.clause:
+		c[guideClause]++
+	}
+}
+
+// grade is a skeleton abstracted to the three levels readPrompt compares,
+// each joined into one string. The zero grade is that of SQL that does
+// not parse.
 type grade struct {
 	keywords, structure, clause string
 	ok                          bool
@@ -200,10 +251,9 @@ func gradeOf(skeleton []string) grade {
 	}
 }
 
-// demoGrade grades a demonstration's SQL, parsing each distinct text once:
-// prompts repeat their demonstrations (the 1,034 dev prompts make 59,217
-// gradings of 1,567 distinct SQL strings).
-func (s *Sim) demoGrade(sql string) grade {
+// sqlGrade grades SQL text, parsing each distinct text once: prompts
+// repeat their demonstrations and requests their golds.
+func (s *Sim) sqlGrade(sql string) grade {
 	s.mu.Lock()
 	g, ok := s.grades[sql]
 	s.mu.Unlock()
@@ -217,10 +267,30 @@ func (s *Sim) demoGrade(sql string) grade {
 	if len(s.grades) >= gradeMemoSize {
 		clear(s.grades)
 	}
-	// sql is a substring of a prompt block: the key must not keep it alive.
+	// sql may be a substring of a prompt block: the key must not keep the
+	// block alive.
 	s.grades[strings.Clone(sql)] = g
 	s.mu.Unlock()
 	return g
+}
+
+// blockGrades grades the SQL lines of a prompt block that has no
+// "### Task" in it and memoises them under the block's text. The key is
+// the block itself, not a copy: a pipeline renders each demonstration
+// block once and keeps it, so the memo keeps alive at most gradeMemoSize
+// blocks that no pipeline holds any more.
+func (s *Sim) blockGrades(b string) []grade {
+	var gs []grade
+	for sql := range prompt.DemoSQLs(prompt.Text{b}) {
+		gs = append(gs, s.sqlGrade(sql))
+	}
+	s.mu.Lock()
+	if len(s.blocks) >= gradeMemoSize {
+		clear(s.blocks)
+	}
+	s.blocks[b] = gs
+	s.mu.Unlock()
+	return gs
 }
 
 // repetitionFactor discounts guidance taught by few exemplars: 1 match

@@ -30,11 +30,13 @@ type Demo struct {
 // pruned to the items sql uses.
 func NewDemo(db *schema.Database, nl, sql string) Demo {
 	var sb strings.Builder
+	sb.Grow(len(DemoHeader) + 1 + schemaLen(db) + len(QueryPrefix) + 1 + len(nl) + 1 + len(SQLPrefix) + 1 + len(sql) + 2)
 	sb.WriteString(DemoHeader)
 	sb.WriteByte('\n')
 	writeSchema(&sb, db)
-	sb.WriteString(QueryPrefix + " " + nl + "\n")
-	sb.WriteString(SQLPrefix + " " + sql + "\n\n")
+	writeLine(&sb, QueryPrefix, nl)
+	writeLine(&sb, SQLPrefix, sql)
+	sb.WriteByte('\n')
 	text := sb.String()
 	return Demo{Text: text, Tokens: Tokens(text)}
 }
@@ -74,54 +76,89 @@ type Result struct {
 	InputTokens int
 }
 
-// Build renders instructions, as many demonstrations as fit, and the task
-// section, within maxTokens. The task section always fits (it is reserved
-// first); demonstrations are pulled from demos in preference order and
-// added until the first one that does not fit, after which Build pulls no
-// more. A nil demos builds a zero-shot prompt. maxTokens <= 0 means
-// unlimited. Demonstrations come rendered: the prompt holds their blocks
-// without copying them, so Build allocates the task section and the
-// block list whatever the number of demonstrations.
-func Build(instructions string, demos iter.Seq[Demo], taskDB *schema.Database, nl string, maxTokens int) Result {
+// Builder assembles one prompt within a token budget: the instructions
+// line, as many demonstrations as fit, and the task section. The task
+// section always fits (it is reserved first); demonstrations are added in
+// preference order until the first one that does not fit, after which Add
+// takes no more. maxTokens <= 0 means unlimited. Demonstrations come
+// rendered: the prompt holds their blocks without copying them, so a
+// prompt allocates its block list and its task section (and an
+// instructions line, when there is one) whatever the number of
+// demonstrations, and the caller pulls demonstrations with a plain loop.
+type Builder struct {
+	text      Text
+	task      string
+	start     int // index of the first demonstration block
+	budget    int // tokens left for demonstrations
+	unlimited bool
+	full      bool // a demonstration did not fit
+}
+
+// blockCap is the block list's capacity: at the default 3,072-token budget
+// a paper-scale dev prompt holds 27 to 96 demonstrations (60 in the
+// median), so the list of a prompt rarely grows.
+const blockCap = 112
+
+// NewBuilder starts a prompt of instructions (none when empty) and the
+// task section for nl over taskDB, within maxTokens.
+func NewBuilder(instructions string, taskDB *schema.Database, nl string, maxTokens int) Builder {
+	b := Builder{task: taskSection(taskDB, nl), text: make(Text, 0, blockCap), unlimited: maxTokens <= 0}
+	if instructions != "" {
+		b.text = append(b.text, instructions+"\n")
+	}
+	b.start = len(b.text)
+	b.budget = maxTokens - Tokens(b.task)
+	if b.start > 0 {
+		b.budget -= Tokens(b.text[0])
+	}
+	return b
+}
+
+// Add appends d's block if it fits in what is left of the budget and
+// reports whether it did. Once a demonstration does not fit, Add appends
+// none: the caller stops pulling.
+func (b *Builder) Add(d Demo) bool {
+	if b.full || !b.unlimited && d.Tokens > b.budget {
+		b.full = true
+		return false
+	}
+	b.text = append(b.text, d.Text)
+	b.budget -= d.Tokens
+	return true
+}
+
+// Result returns the prompt: the blocks added so far and the task
+// section. It ends the prompt: add nothing after it.
+func (b *Builder) Result() Result {
+	text := append(b.text, b.task)
+	return Result{Text: text, DemosUsed: len(b.text) - b.start, InputTokens: text.Tokens()}
+}
+
+// taskSection renders the task's header, pruned schema and question,
+// ending in the "SQL:" the completion continues, into one allocation.
+func taskSection(db *schema.Database, nl string) string {
+	n := len(TaskHeader) + 1 + schemaLen(db) + len(QueryPrefix) + 1 + len(nl) + 1 + len(SQLPrefix)
 	var sb strings.Builder
+	sb.Grow(n)
 	sb.WriteString(TaskHeader)
 	sb.WriteByte('\n')
-	writeSchema(&sb, taskDB)
-	sb.WriteString(QueryPrefix + " " + nl + "\n")
+	writeSchema(&sb, db)
+	writeLine(&sb, QueryPrefix, nl)
 	sb.WriteString(SQLPrefix)
-	task := sb.String()
+	return sb.String()
+}
 
-	var head string
-	if instructions != "" {
-		head = instructions + "\n"
-	}
-	budget := maxTokens - Tokens(task) - Tokens(head)
-
-	// A prompt at the default 3,072-token budget holds ~58 demonstrations,
-	// so room for 64, the instructions line and the task section allocates
-	// its block list once.
-	text := make(Text, 0, 64+2)
-	if head != "" {
-		text = append(text, head)
-	}
-	start := len(text)
-	if demos == nil {
-		demos = func(func(Demo) bool) {}
-	}
-	for d := range demos {
-		if maxTokens > 0 && d.Tokens > budget {
-			break
-		}
-		text = append(text, d.Text)
-		budget -= d.Tokens
-	}
-	used := len(text) - start
-	text = append(text, task)
-	return Result{Text: text, DemosUsed: used, InputTokens: text.Tokens()}
+// writeLine writes prefix, a space, text and a newline.
+func writeLine(sb *strings.Builder, prefix, text string) {
+	sb.WriteString(prefix)
+	sb.WriteByte(' ')
+	sb.WriteString(text)
+	sb.WriteByte('\n')
 }
 
 // writeSchema renders a compact schema block: one line per table with its
-// column names, then one line per foreign key.
+// column names, then one line per foreign key. It writes schemaLen(db)
+// bytes.
 func writeSchema(sb *strings.Builder, db *schema.Database) {
 	if db == nil {
 		return
@@ -141,8 +178,31 @@ func writeSchema(sb *strings.Builder, db *schema.Database) {
 		sb.WriteString(")\n")
 	}
 	for _, fk := range db.ForeignKeys {
-		sb.WriteString("  FK " + fk.FromTable + "." + fk.FromColumn + " -> " + fk.ToTable + "." + fk.ToColumn + "\n")
+		for _, s := range [...]string{"  FK ", fk.FromTable, ".", fk.FromColumn, " -> ", fk.ToTable, ".", fk.ToColumn, "\n"} {
+			sb.WriteString(s)
+		}
 	}
+}
+
+// schemaLen is the length of db's schema block.
+func schemaLen(db *schema.Database) int {
+	if db == nil {
+		return 0
+	}
+	n := len(SchemaPrefix) + 1
+	for _, t := range db.Tables {
+		n += 2 + len(t.Name) + 1 + 2
+		for i, c := range t.Columns {
+			if i > 0 {
+				n += 2
+			}
+			n += len(c.Name)
+		}
+	}
+	for _, fk := range db.ForeignKeys {
+		n += len("  FK ") + len(fk.FromTable) + 1 + len(fk.FromColumn) + len(" -> ") + len(fk.ToTable) + 1 + len(fk.ToColumn) + 1
+	}
+	return n
 }
 
 // DemoSQLs yields the demonstration SQL strings of a prompt, in order:

@@ -38,7 +38,7 @@ func TestTokens(t *testing.T) {
 
 func TestBuildContainsSections(t *testing.T) {
 	demos := []Demo{NewDemo(demoDB(), "How many singers?", "SELECT COUNT(*) FROM singer")}
-	r := Build("-- inst", slices.Values(demos), demoDB(), "List names.", 0)
+	r := build("-- inst", slices.Values(demos), demoDB(), "List names.", 0)
 	text := strings.Join(r.Text, "")
 	for _, want := range []string{"-- inst", DemoHeader, TaskHeader, "singer(id, name)", "Q: List names.", "SQL: SELECT COUNT(*) FROM singer", "FK singer.id -> band.id"} {
 		if !strings.Contains(text, want) {
@@ -58,8 +58,8 @@ func TestBudgetLimitsDemos(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		demos = append(demos, NewDemo(demoDB(), "How many singers are there in total?", "SELECT COUNT(*) FROM singer"))
 	}
-	small := Build("", slices.Values(demos), demoDB(), "List names.", 300)
-	large := Build("", slices.Values(demos), demoDB(), "List names.", 2000)
+	small := build("", slices.Values(demos), demoDB(), "List names.", 300)
+	large := build("", slices.Values(demos), demoDB(), "List names.", 2000)
 	if small.DemosUsed >= large.DemosUsed {
 		t.Errorf("budget has no effect: small=%d large=%d", small.DemosUsed, large.DemosUsed)
 	}
@@ -71,9 +71,10 @@ func TestBudgetLimitsDemos(t *testing.T) {
 	}
 }
 
-// TestBuildStopsPullingAtFirstMisfit: Build pulls demonstrations one at a
-// time and stops at the first that does not fit, so a lazy producer does
-// no work past the budget; without a budget it drains the sequence.
+// TestBuildStopsPullingAtFirstMisfit: Add reports the first demonstration
+// that does not fit, so a caller pulling lazily does no work past the
+// budget, and takes none after it, even one that would fit; without a
+// budget the caller drains its sequence.
 func TestBuildStopsPullingAtFirstMisfit(t *testing.T) {
 	pulled := 0
 	d := NewDemo(demoDB(), "How many singers are there?", "SELECT COUNT(*) FROM singer")
@@ -85,18 +86,42 @@ func TestBuildStopsPullingAtFirstMisfit(t *testing.T) {
 			}
 		}
 	}
-	r := Build("", demos, demoDB(), "List names.", 500)
+	r := build("", demos, demoDB(), "List names.", 500)
 	if r.DemosUsed == 0 || pulled != r.DemosUsed+1 {
 		t.Errorf("budgeted build pulled %d demonstrations for %d used, want used + 1", pulled, r.DemosUsed)
 	}
 	pulled = 0
-	if r := Build("", demos, demoDB(), "List names.", 0); pulled != 1000 || r.DemosUsed != 1000 {
+	if r := build("", demos, demoDB(), "List names.", 0); pulled != 1000 || r.DemosUsed != 1000 {
 		t.Errorf("unbudgeted build pulled %d and used %d of 1000", pulled, r.DemosUsed)
+	}
+
+	b := NewBuilder("", demoDB(), "List names.", 100)
+	big := NewDemo(demoDB(), strings.Repeat("How many singers are there? ", 20), "SELECT COUNT(*) FROM singer")
+	small := Demo{Text: "x\n", Tokens: 1}
+	if !b.Add(small) || b.Add(big) || b.Add(small) {
+		t.Error("Add took a demonstration after the first that did not fit")
+	}
+	if r := b.Result(); r.DemosUsed != 1 || len(r.Text) != 2 {
+		t.Errorf("prompt of %d blocks with %d demonstrations, want the small one and the task", len(r.Text), r.DemosUsed)
 	}
 }
 
+// build assembles a prompt the way the pipeline does: it adds demos in
+// order until one does not fit. A nil demos builds a zero-shot prompt.
+func build(instructions string, demos iter.Seq[Demo], db *schema.Database, nl string, maxTokens int) Result {
+	b := NewBuilder(instructions, db, nl, maxTokens)
+	if demos != nil {
+		for d := range demos {
+			if !b.Add(d) {
+				break
+			}
+		}
+	}
+	return b.Result()
+}
+
 func TestTaskAlwaysFits(t *testing.T) {
-	r := Build("", nil, demoDB(), "List names.", 10) // budget below task size
+	r := build("", nil, demoDB(), "List names.", 10) // budget below task size
 	if text := strings.Join(r.Text, ""); !strings.Contains(text, TaskHeader) || !strings.Contains(text, "Q: List names.") {
 		t.Error("task section must always be present")
 	}
@@ -107,7 +132,7 @@ func TestParseDemoSQLs(t *testing.T) {
 		NewDemo(demoDB(), "q1", "SELECT a FROM t"),
 		NewDemo(demoDB(), "q2", "SELECT b FROM u"),
 	}
-	r := Build("", slices.Values(demos), demoDB(), "task question", 0)
+	r := build("", slices.Values(demos), demoDB(), "task question", 0)
 	got := slices.Collect(DemoSQLs(r.Text))
 	if len(got) != 2 || got[0] != "SELECT a FROM t" || got[1] != "SELECT b FROM u" {
 		t.Errorf("DemoSQLs = %v", got)
@@ -115,47 +140,61 @@ func TestParseDemoSQLs(t *testing.T) {
 }
 
 func TestParseDemoSQLsIgnoresTaskSQLPrefix(t *testing.T) {
-	r := Build("", nil, demoDB(), "q", 0)
+	r := build("", nil, demoDB(), "q", 0)
 	if got := slices.Collect(DemoSQLs(r.Text)); len(got) != 0 {
 		t.Errorf("task trailing SQL: must not parse as demo: %v", got)
 	}
 }
 
 func TestTaskSchemaSize(t *testing.T) {
-	r := Build("", slices.Values([]Demo{NewDemo(demoDB(), "q", "SELECT 1 FROM x")}), demoDB(), "task", 0)
+	r := build("", slices.Values([]Demo{NewDemo(demoDB(), "q", "SELECT 1 FROM x")}), demoDB(), "task", 0)
 	tables, cols := TaskSchemaSize(r.Text)
 	if tables != 1 || cols != 2 {
 		t.Errorf("TaskSchemaSize = %d tables, %d cols; want 1, 2", tables, cols)
 	}
 }
 
-// TestBuildAllocsDoNotGrowWithDemos: Build keeps the blocks that fit in
-// one block list, without copying them, so a prompt holding a default
-// budget's worth of demonstrations costs it the allocations of a prompt
-// holding one.
+// TestBuildAllocsDoNotGrowWithDemos: a prompt keeps the blocks that fit in
+// one block list, without copying them, so it allocates that list and its
+// task section, and an instructions line when there is one, however many
+// demonstrations it holds; a demonstration renders into one buffer sized
+// in advance.
 func TestBuildAllocsDoNotGrowWithDemos(t *testing.T) {
 	db := demoDB()
-	demos := make([]Demo, 58)
+	demos := make([]Demo, 97)
 	for i := range demos {
 		demos[i] = NewDemo(db, "How many singers are there?", "SELECT COUNT(*) FROM singer")
 	}
-	allocs := func(n int) float64 {
-		return testing.AllocsPerRun(100, func() {
-			if Build("", slices.Values(demos[:n]), db, "List names.", 0).DemosUsed != n {
-				t.Fatal("short prompt")
+	for _, c := range []struct {
+		instructions string
+		want         float64
+	}{{"", 2}, {"-- inst", 3}} {
+		for _, n := range []int{0, 1, len(demos)} {
+			allocs := testing.AllocsPerRun(100, func() {
+				b := NewBuilder(c.instructions, db, "List names.", 0)
+				for _, d := range demos[:n] {
+					b.Add(d)
+				}
+				if b.Result().DemosUsed != n {
+					t.Fatal("short prompt")
+				}
+			})
+			if allocs != c.want {
+				t.Errorf("instructions %q: a prompt of %d demonstrations allocates %v times, want %v", c.instructions, n, allocs, c.want)
 			}
-		})
+		}
 	}
-	if one, many := allocs(1), allocs(len(demos)); many > one {
-		t.Errorf("Build allocates %v times for %d demonstrations, %v for one", many, len(demos), one)
+	if allocs := testing.AllocsPerRun(100, func() { NewDemo(db, "How many singers are there?", "SELECT COUNT(*) FROM singer") }); allocs != 1 {
+		t.Errorf("NewDemo allocates %v times, want 1: its block", allocs)
 	}
 }
 
-// TestBuildMatchesPerCallRenderer holds Build to refBuild, the renderer it
-// replaced, over the training demonstrations of the scale-0.08 corpus
-// (pruned as the pipeline prunes them) and its dev tasks: the joined text,
-// the demonstrations used and the token count must be identical at every
-// budget, with and without instructions, and zero-shot. Each demonstration
+// TestBuildMatchesPerCallRenderer holds the prompt a Builder assembles to
+// refBuild, the renderer it replaced, over the training demonstrations of
+// the scale-0.08 corpus (pruned as the pipeline prunes them) and its dev
+// tasks: the joined text, the demonstrations used and the token count must
+// be identical at every budget, with and without instructions, and
+// zero-shot. Each demonstration
 // block of the prompt must be the rendered block itself, not a copy, and
 // every block but the last must end in a newline.
 func TestBuildMatchesPerCallRenderer(t *testing.T) {
@@ -172,13 +211,13 @@ func TestBuildMatchesPerCallRenderer(t *testing.T) {
 			for i, e := range c.Dev.Examples {
 				from := i * 7 % len(demos) // each task pulls a different run of demonstrations
 				want := refBuild(instructions, slices.Values(refs[from:]), e.DB, e.NL, maxTokens)
-				got := Build(instructions, slices.Values(demos[from:]), e.DB, e.NL, maxTokens)
+				got := build(instructions, slices.Values(demos[from:]), e.DB, e.NL, maxTokens)
 				if joined := strings.Join(got.Text, ""); joined != want.Text || got.DemosUsed != want.DemosUsed || got.InputTokens != want.InputTokens {
-					t.Fatalf("instructions %q, budget %d, task %d: Build = %d demos, %d tokens; reference %d demos, %d tokens; texts equal: %v",
+					t.Fatalf("instructions %q, budget %d, task %d: prompt of %d demos, %d tokens; reference %d demos, %d tokens; texts equal: %v",
 						instructions, maxTokens, e.ID, got.DemosUsed, got.InputTokens, want.DemosUsed, want.InputTokens, joined == want.Text)
 				}
 				checkBlocks(t, got, instructions, demos[from:])
-				got = Build(instructions, nil, e.DB, e.NL, maxTokens)
+				got = build(instructions, nil, e.DB, e.NL, maxTokens)
 				want = refBuild(instructions, nil, e.DB, e.NL, maxTokens)
 				if strings.Join(got.Text, "") != want.Text || got.DemosUsed != want.DemosUsed || got.InputTokens != want.InputTokens {
 					t.Fatalf("instructions %q, budget %d, task %d: zero-shot prompt differs from the reference", instructions, maxTokens, e.ID)
@@ -235,7 +274,7 @@ func checkBlocks(t *testing.T, r Result, instructions string, demos []Demo) {
 	}
 }
 
-// refResult, refDemo and refBuild are the renderer Build replaced: it
+// refResult, refDemo and refBuild are the per-call renderer: it
 // rendered each demonstration it pulled, schema included, on every call,
 // into one string.
 type refResult struct {

@@ -71,9 +71,6 @@ type Config struct {
 	// sampled client traceparent), tags each upstream attempt, and serves
 	// /v1/traces with cross-shard span merging on /v1/traces/{id}.
 	Tracer *trace.Tracer
-	// Transport overrides the proxy/probe transport (tests). The default is
-	// a pooled http.Transport sized for shard fan-in.
-	Transport http.RoundTripper
 }
 
 // table is one immutable routing epoch: the ring spans exactly the healthy
@@ -103,7 +100,7 @@ type Router struct {
 
 	client      *http.Client
 	probeClient *http.Client
-	transport   http.RoundTripper
+	transport   *http.Transport // pooled, sized for shard fan-in
 
 	tab     atomic.Pointer[table]
 	rr      atomic.Uint64 // round-robin cursor for keyless requests
@@ -163,18 +160,14 @@ func New(cfg Config) (*Router, error) {
 	if rt.probeInterval > 0 && rt.probeInterval < rt.probeTimeout {
 		rt.probeTimeout = rt.probeInterval
 	}
-	rt.transport = cfg.Transport
-	if rt.transport == nil {
-		tr := &http.Transport{
-			DialContext: (&net.Dialer{
-				Timeout:   2 * time.Second,
-				KeepAlive: 30 * time.Second,
-			}).DialContext,
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}
-		rt.transport = tr
+	rt.transport = &http.Transport{
+		DialContext: (&net.Dialer{
+			Timeout:   2 * time.Second,
+			KeepAlive: 30 * time.Second,
+		}).DialContext,
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 64,
+		IdleConnTimeout:     90 * time.Second,
 	}
 	noRedirect := func(req *http.Request, via []*http.Request) error {
 		return http.ErrUseLastResponse // a proxy relays redirects, it does not follow them
@@ -245,9 +238,7 @@ func (rt *Router) Close() {
 	if rt.looping {
 		<-rt.done
 	}
-	if tr, ok := rt.transport.(*http.Transport); ok {
-		tr.CloseIdleConnections()
-	}
+	rt.transport.CloseIdleConnections()
 }
 
 func (rt *Router) probeLoop() {

@@ -12,7 +12,9 @@ type emitKind int
 const (
 	emitKeyword emitKind = iota // SQL keywords and operators
 	emitName                    // table/column/alias identifiers
-	emitValue                   // literals
+	emitValue                   // numeric literals
+	emitString                  // a string literal's value, printed quoted
+	emitFunc                    // a function name, printed with its "("
 	emitPunct                   // parens and commas
 )
 
@@ -21,30 +23,52 @@ type emitter func(kind emitKind, text string)
 // String renders the Select as canonical SQL text. The rendering is
 // re-parseable: Parse(String(sel)) yields an AST identical to sel for any
 // sel produced by Parse (FuzzRoundTrip enforces this).
+//
+// Tokens are separated by single spaces, tightened around punctuation the
+// way the paper's examples render SQL: no space before ",", ")" or ".",
+// and none after a token ending in "(" or after ".". They are written
+// straight into one buffer, on the stack for a query of up to printBuf
+// bytes, so printing allocates the result and little else.
 func String(sel *Select) string {
-	var parts []string
+	var buf [printBuf]byte
+	b := buf[:0]
+	tight := false // the last token ended in "(" or was "."
 	emitSelect(sel, func(kind emitKind, text string) {
-		parts = append(parts, text)
+		if len(b) > 0 && !tight && text != "," && text != ")" && text != "." {
+			b = append(b, ' ')
+		}
+		switch kind {
+		case emitString:
+			b = appendQuoted(b, text)
+			tight = false
+		case emitFunc:
+			b = append(append(b, text...), '(')
+			tight = true
+		default:
+			b = append(b, text...)
+			tight = strings.HasSuffix(text, "(") || text == "."
+		}
 	})
-	return joinSQL(parts)
+	return string(b)
 }
 
-// joinSQL joins tokens with spaces, tightening punctuation the way the
-// paper's examples render SQL.
-func joinSQL(parts []string) string {
-	var sb strings.Builder
-	for i, p := range parts {
-		if i > 0 {
-			prev := parts[i-1]
-			if p == "," || p == ")" || strings.HasSuffix(prev, "(") || p == "." || prev == "." {
-				// no space
-			} else {
-				sb.WriteByte(' ')
-			}
+// printBuf is the stack buffer String prints into; a longer query grows it
+// onto the heap.
+const printBuf = 256
+
+// appendQuoted appends s as a SQL string literal: single-quoted, each
+// quote inside doubled.
+func appendQuoted(b []byte, s string) []byte {
+	b = append(b, '\'')
+	for {
+		i := strings.IndexByte(s, '\'')
+		if i < 0 {
+			break
 		}
-		sb.WriteString(p)
+		b = append(append(b, s[:i+1]...), '\'')
+		s = s[i+1:]
 	}
-	return sb.String()
+	return append(append(b, s...), '\'')
 }
 
 func emitSelect(sel *Select, emit emitter) {
@@ -229,14 +253,14 @@ func emitExprPrec(e Expr, emit emitter, minPrec int) {
 		emit(emitKeyword, "*")
 	case *Literal:
 		if v.IsString {
-			emit(emitValue, "'"+strings.ReplaceAll(v.Str, "'", "''")+"'")
+			emit(emitString, v.Str)
 		} else if v.Raw != "" {
 			emit(emitValue, v.Raw)
 		} else {
 			emit(emitValue, strconv.FormatFloat(v.Num, 'g', -1, 64))
 		}
 	case *Agg:
-		emit(emitKeyword, v.Fn+"(")
+		emit(emitFunc, v.Fn)
 		if v.Distinct {
 			emit(emitKeyword, "DISTINCT")
 		}

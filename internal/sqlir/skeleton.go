@@ -32,13 +32,6 @@ func Skeleton(sel *Select) []string {
 				// produced the placeholder.
 				return
 			}
-			// Function applications are emitted as "FN(": split so the
-			// automaton sees the function keyword and the paren separately.
-			if strings.HasSuffix(text, "(") && len(text) > 1 {
-				push(strings.TrimSuffix(text, "("))
-				push("(")
-				return
-			}
 			// `*` in projections and COUNT(*) is a database-detail token
 			// (which columns), not an operator: mask it like a name so
 			// COUNT(*) and COUNT(col) share operator composition.
@@ -47,7 +40,12 @@ func Skeleton(sel *Select) []string {
 				return
 			}
 			push(text)
-		case emitName, emitValue:
+		case emitFunc:
+			// A function application: the automaton sees the function
+			// keyword and the paren separately.
+			push(text)
+			push("(")
+		case emitName, emitValue, emitString:
 			push("_")
 		case emitPunct:
 			if text == "(" || text == ")" {
